@@ -7,12 +7,13 @@
 // a whole round trip, so replies can never interleave and no request-id
 // rewriting is needed.
 //
-// Threading mirrors server/auth_server.cpp (DESIGN.md §12): one epoll
-// event loop owns every client socket; a worker pool does the blocking
-// shard round trips and posts reply bytes back through a completion queue
-// + eventfd.  A separate health thread PINGs every shard on an interval
-// with up/down thresholds, and reads the shard's registry telemetry
-// (device count, WAL position) out of the health reply.
+// Threading: client sockets, framing, backlog cap and drain belong to a
+// net::FrameLoop (net/frame_loop.hpp), the same loop the server runs; the
+// gateway is its handler.  A worker pool does the blocking shard round
+// trips and posts reply bytes back to the loop.  A separate health thread
+// PINGs every shard on an interval with up/down thresholds, and reads the
+// shard's registry telemetry (device count, WAL position) out of the
+// health reply.
 //
 // Session pinning: a CHALLENGE reply starts a chained-auth session whose
 // nonce lives on the shard that issued it, so the gateway pins (client
@@ -103,6 +104,7 @@ class Gateway {
     std::uint64_t overloaded_rejections = 0;
     std::uint64_t shutdown_rejections = 0;
     std::uint64_t malformed_frames = 0;
+    std::uint64_t slow_peer_disconnects = 0;  ///< backlog bound enforced
     std::uint64_t admin_requests = 0;
     std::uint64_t pins_created = 0;
     std::uint64_t health_probes = 0;

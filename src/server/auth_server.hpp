@@ -7,13 +7,13 @@
 // CHAINED_AUTH over the framed wire protocol of net/wire.
 //
 // Threading model (DESIGN.md §12):
-//   - ONE event-loop thread owns every socket: epoll-driven non-blocking
-//     accept/read/write, frame extraction, admission control, and error
-//     replies.  It never solves anything.
+//   - ONE event-loop thread, a net::FrameLoop (net/frame_loop.hpp), owns
+//     every socket: accept/read/write, framing, the backlog cap and the
+//     drain contract.  The server is its handler: admission control and
+//     coalescing run on that thread.  It never solves anything.
 //   - A util::ThreadPool executes request bodies (max-flow solves,
 //     residual-graph verification).  Workers never touch sockets; they
-//     hand finished reply bytes back through a completion queue and wake
-//     the loop via an eventfd.
+//     post finished reply bytes back to the loop.
 //
 // Overload semantics: admission is a bounded in-flight count checked by
 // the event loop before dispatch.  Past the bound the request is answered

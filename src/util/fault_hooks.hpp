@@ -44,16 +44,17 @@ struct FaultHooks {
   /// before doing any work (exercises solve_batch's bounded retry).
   std::atomic<int> maxflow_transient_failures{0};
 
-  /// > 0: countdown of AuthServer socket sends that fail as if the peer
-  /// reset the connection (the hard-error branch of flush()).  Lets tests
+  /// > 0: countdown of event-loop socket sends (net::FrameLoop, under
+  /// AuthServer and Gateway) that fail as if the peer reset the
+  /// connection (the hard-error branch of flush()).  Lets tests
   /// deterministically close a connection mid-pipeline, a path that is
   /// otherwise a narrow timing race against a real RST.
   std::atomic<int> server_send_failures{0};
 
-  /// true: AuthServer flush() treats every send as EAGAIN (kernel buffer
-  /// full) without touching the socket — the deterministic way to grow a
-  /// connection's reply backlog for slow-peer tests, independent of the
-  /// host's actual socket buffer sizing.  State, not an event: it does
+  /// true: the event loop's flush() treats every send as EAGAIN (kernel
+  /// buffer full) without touching the socket — the deterministic way to
+  /// grow a connection's reply backlog for slow-peer tests, independent of
+  /// the host's actual socket buffer sizing.  State, not an event: it does
   /// not tick faults_injected.
   std::atomic<bool> server_send_block{false};
 

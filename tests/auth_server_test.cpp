@@ -9,6 +9,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -501,6 +502,38 @@ TEST(AuthServer, SurvivesPipelinedFramesWithAbruptReset) {
   // The server must come through intact and still serving.
   AuthClient client("127.0.0.1", srv.port());
   EXPECT_TRUE(client.ping().is_ok());
+  srv.stop();
+}
+
+TEST(AuthServer, PipelinedPairIsNotHeldForDelayedAck) {
+  // Two PREDICTs in flight on one connection: the server writes the
+  // second reply while the first may still be unacknowledged.  Without
+  // TCP_NODELAY on the accepted socket, Nagle holds that write until the
+  // client's delayed ACK (~40 ms on Linux), so every pair costs ~40 ms
+  // instead of two small solves.
+  AuthServer srv(shared_model(), default_options());
+  ASSERT_TRUE(srv.start().is_ok());
+  net::ClientOptions co;
+  co.pipeline_depth = 2;
+  AuthClient client("127.0.0.1", srv.port(), co);
+  util::Rng rng(31);
+  std::vector<double> pair_ms;
+  for (int i = 0; i <= 20; ++i) {
+    const std::vector<Challenge> pair = {
+        random_challenge(shared_model().layout(), rng),
+        random_challenge(shared_model().layout(), rng)};
+    std::vector<SimulationModel::Prediction> out;
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.predict_pipelined(pair, &out).is_ok());
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    ASSERT_TRUE(out[0].ok() && out[1].ok());
+    if (i > 0) pair_ms.push_back(took.count());  // i == 0: connect
+  }
+  std::nth_element(pair_ms.begin(), pair_ms.begin() + pair_ms.size() / 2,
+                   pair_ms.end());
+  EXPECT_LT(pair_ms[pair_ms.size() / 2], 20.0)
+      << "median pipelined pair is at the delayed-ACK floor";
   srv.stop();
 }
 

@@ -9,6 +9,7 @@
 // file is deterministic — a green run stays green.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -26,10 +27,12 @@
 #include "net/client.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "ppuf/ppuf.hpp"
 #include "protocol/authentication.hpp"
 #include "registry/device_registry.hpp"
 #include "server/auth_server.hpp"
+#include "util/fault_hooks.hpp"
 #include "util/status.hpp"
 
 namespace ppuf {
@@ -417,6 +420,135 @@ TEST(FleetGateway, RemoveShardAndUnroutableRing) {
 
   gateway.stop();
   shard.server->stop();
+}
+
+TEST(FleetGateway, PipelinedPairIsNotHeldForDelayedAck) {
+  // Two PREDICTs in flight on one client connection, through the gateway
+  // to a single-device shard.  Both hops' accepted sockets must carry
+  // TCP_NODELAY, or the second reply waits for a delayed ACK (~40 ms on
+  // Linux) and every pair costs ~40 ms instead of two small solves.
+  PpufParams p;
+  p.node_count = kNodes;
+  p.grid_size = kGrid;
+  MaxFlowPpuf puf(p, kDeviceSeedBase);
+  SimulationModel model(puf);
+  AuthServer shard(model, shard_options(17));
+  ASSERT_TRUE(shard.start().is_ok());
+
+  GatewayOptions go;
+  go.health_interval_ms = 25;
+  Gateway gateway(go);
+  ASSERT_TRUE(gateway.add_shard("solo", "127.0.0.1", shard.port()).is_ok());
+  ASSERT_TRUE(gateway.start().is_ok());
+  AuthClient admin_client("127.0.0.1", gateway.port());
+  wait_all_shards_up(admin_client, 1);
+
+  ClientOptions co = client_options_for(net::kDefaultDeviceId);
+  co.pipeline_depth = 2;
+  AuthClient client("127.0.0.1", gateway.port(), co);
+  util::Rng rng(32);
+  std::vector<double> pair_ms;
+  for (int i = 0; i <= 20; ++i) {
+    const std::vector<Challenge> pair = {
+        random_challenge(model.layout(), rng),
+        random_challenge(model.layout(), rng)};
+    std::vector<SimulationModel::Prediction> out;
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.predict_pipelined(pair, &out).is_ok());
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    ASSERT_TRUE(out[0].ok() && out[1].ok());
+    if (i > 0) pair_ms.push_back(took.count());  // i == 0: connect
+  }
+  std::nth_element(pair_ms.begin(), pair_ms.begin() + pair_ms.size() / 2,
+                   pair_ms.end());
+  EXPECT_LT(pair_ms[pair_ms.size() / 2], 20.0)
+      << "median pipelined pair is at the delayed-ACK floor";
+  gateway.stop();
+  shard.stop();
+}
+
+TEST(FleetGateway, MalformedStreamGetsTypedErrorThenClose) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  Gateway gateway;
+  ASSERT_TRUE(gateway.start().is_ok());
+  net::Socket sock;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", gateway.port(), 2000, &sock).is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(5.0);
+
+  std::vector<std::uint8_t> garbage(net::kHeaderSize, 0x58);  // "XXXX..."
+  ASSERT_TRUE(
+      net::send_all(sock.fd(), garbage.data(), garbage.size(), io).is_ok());
+  net::Frame reply;
+  ASSERT_TRUE(net::read_frame(sock.fd(), &reply, io).is_ok());
+  ASSERT_EQ(reply.type, net::MessageType::kErrorReply);
+  net::ErrorReply err;
+  ASSERT_TRUE(net::decode_error_reply(reply.payload, &err).is_ok());
+  EXPECT_EQ(err.code, net::WireCode::kMalformed);
+
+  // An unsynchronised stream cannot be trusted further: the gateway
+  // closes after flushing the error.
+  std::uint8_t byte = 0;
+  EXPECT_FALSE(net::recv_exact(sock.fd(), &byte, 1, io).is_ok());
+  gateway.stop();
+  EXPECT_EQ(gateway.stats().malformed_frames, 1u);
+  EXPECT_EQ(reg.counter_value("gateway.malformed_frames"), 1u);
+  EXPECT_EQ(reg.counter_value("gateway.bytes_read"), net::kHeaderSize);
+  EXPECT_GT(reg.counter_value("gateway.bytes_written"), 0u);
+  EXPECT_EQ(reg.counter_value("gateway.connections_closed"), 1u);
+  reg.set_enabled(false);
+}
+
+TEST(FleetGateway, SlowPeerIsDisconnectedAtBacklogBound) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  GatewayOptions go;
+  go.max_connection_backlog_bytes = 256;
+  Gateway gateway(go);
+  ASSERT_TRUE(gateway.start().is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(10.0);
+
+  // A peer whose socket never drains: every send on the loop reports
+  // EAGAIN, so the gateway's inline PING replies pile up in the
+  // connection's out-queue.
+  util::FaultHooks::instance().server_send_block.store(true);
+  net::Socket slow;
+  ASSERT_TRUE(
+      net::connect_tcp("127.0.0.1", gateway.port(), 2000, &slow).is_ok());
+  // One burst: the gateway answers PING inline and may cut the peer off
+  // before a later, separate send.
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t id = 1; id <= 10; ++id) {
+    const std::vector<std::uint8_t> f =
+        net::encode_frame(net::MessageType::kPingRequest, id, 0, 0,
+                          net::encode_ping_request(0));
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  ASSERT_TRUE(
+      net::send_all(slow.fd(), burst.data(), burst.size(), io).is_ok());
+  const auto wait_until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (gateway.stats().slow_peer_disconnects == 0 &&
+         std::chrono::steady_clock::now() < wait_until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  util::FaultHooks::instance().server_send_block.store(false);
+  EXPECT_EQ(gateway.stats().slow_peer_disconnects, 1u);
+  EXPECT_EQ(reg.counter_value("gateway.slow_peer_disconnects"), 1u);
+
+  // The loop never wedged: a healthy client is served...
+  AuthClient healthy("127.0.0.1", gateway.port());
+  EXPECT_TRUE(healthy.ping().is_ok());
+  // ...and the slow peer really was cut off.
+  net::Frame reply;
+  EXPECT_FALSE(net::read_frame(slow.fd(), &reply,
+                               util::Deadline::after_seconds(2.0))
+                   .is_ok());
+  gateway.stop();
+  reg.set_enabled(false);
 }
 
 // --- WAL-shipping standby --------------------------------------------------
