@@ -16,6 +16,12 @@
 // >= 5x sparse speedup with matching source currents; the measured ratio
 // lands in the JSON as "sparse_vs_dense_speedup".
 //
+// A PREDICT leg at paper scale (n = 64) times the serving path —
+// certificate-first predict_batch, one thread — against the full-solve
+// path it replaced (two push-relabel solves per item), checks that both
+// give the same flows, and records the star-cut certificate hit ratio
+// from the ppuf.predict.certified / .fallback counters.
+//
 // A final leg measures the cost of the obs metrics layer itself: the same
 // single-thread uncached batch with the registry enabled versus disabled
 // (median of 3 runs each).  The budget is < 3% throughput change; the
@@ -29,6 +35,8 @@
 // 4-thread column is the acceptance gate: >= 3x the 1-thread column on a
 // 4+ core machine).  On fewer cores the ratio degrades to the core count,
 // which the JSON records via "hardware_concurrency".
+#include <array>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -58,6 +66,7 @@ using namespace ppuf;
 
 constexpr std::size_t kNodes = 32;
 constexpr std::size_t kGrid = 8;
+constexpr std::size_t kPredictNodes = 64;
 constexpr std::uint64_t kFabricationSeed = 2026;
 constexpr std::uint64_t kChallengeSeed = 7;
 
@@ -158,6 +167,64 @@ int main(int argc, char** argv) {
       "execution-simulation gap, verifier side: answering repeated CRPs "
       "must be cheap; the cache makes repeats O(lookup) and the pool "
       "spreads fresh solves across p workers (O(n^2/p) per check).");
+
+  // PREDICT leg at n = 64: the certificate-first serving path vs the full
+  // push-relabel solves it replaced, on the same batch.
+  std::cout << "\nPREDICT at n=" << kPredictNodes
+            << ": certificate-first vs full solve...\n";
+  PpufParams p64_params;
+  p64_params.node_count = kPredictNodes;
+  p64_params.grid_size = 8;
+  MaxFlowPpuf p64_puf(p64_params, kFabricationSeed);
+  const SimulationModel p64(p64_puf);
+  util::Rng p64_rng(kChallengeSeed);
+  std::vector<Challenge> p64_batch;
+  for (std::size_t i = 0; i < items; ++i)
+    p64_batch.push_back(random_challenge(p64.layout(), p64_rng));
+  SimulationModel::PredictBatchOptions p64_options;
+  std::vector<SimulationModel::Prediction> p64_predictions;
+  const double p64_seconds = bench::time_seconds_median(
+      [&] { p64_predictions = p64.predict_batch(p64_batch, p64_options); },
+      3);
+  std::vector<std::array<double, 2>> solved(items);
+  const double solve_seconds = bench::time_seconds([&] {
+    for (std::size_t i = 0; i < items; ++i)
+      for (int net = 0; net < 2; ++net)
+        solved[i][net] = p64.predicted_flow(net, p64_batch[i]);
+  });
+  for (std::size_t i = 0; i < items; ++i) {
+    const double got[2] = {p64_predictions[i].flow_a,
+                           p64_predictions[i].flow_b};
+    for (int net = 0; net < 2; ++net) {
+      if (std::abs(got[net] - solved[i][net]) > 1e-12 * solved[i][net]) {
+        std::cerr << "FAIL: PREDICT item " << i << " network " << net
+                  << " served " << got[net] << ", full solve gives "
+                  << solved[i][net] << "\n";
+        return 1;
+      }
+    }
+  }
+  double certificate_hit_ratio = 0.0;
+  {
+    obs::MetricsRegistry& counting = obs::MetricsRegistry::global();
+    counting.set_enabled(true);
+    counting.reset();
+    (void)p64.predict_batch(p64_batch, p64_options);
+    const double certified = static_cast<double>(
+        counting.counter_value("ppuf.predict.certified"));
+    const double fallback = static_cast<double>(
+        counting.counter_value("ppuf.predict.fallback"));
+    certificate_hit_ratio = certified / (certified + fallback);
+    counting.reset();
+    counting.set_enabled(false);
+  }
+  const double p64_ips = static_cast<double>(items) / p64_seconds;
+  const double solve_ips = static_cast<double>(items) / solve_seconds;
+  std::cout << "predict_batch " << util::Table::num(p64_ips, 4)
+            << " items/s vs full solve " << util::Table::num(solve_ips, 4)
+            << " items/s (" << util::Table::num(p64_ips / solve_ips, 3)
+            << "x); certificate hit ratio "
+            << util::Table::num(certificate_hit_ratio, 4) << "\n";
 
   // Sparse-vs-dense linear-core leg: a paper-scale flattened device.  The
   // production path solves compact models, so this leg builds the circuit
@@ -372,6 +439,10 @@ int main(int argc, char** argv) {
   json << "  \"speedup_4_threads\": " << items_per_sec[4] / baseline << ",\n";
   json << "  \"repeated_batch_hit_rate\": " << repeat_hit_rate << ",\n";
   json << "  \"repeated_batch_items_per_sec\": " << cached_ips << ",\n";
+  json << "  \"predict_n64\": {\"items_per_sec\": " << p64_ips
+       << ", \"full_solve_items_per_sec\": " << solve_ips
+       << ", \"certificate_hit_ratio\": " << certificate_hit_ratio
+       << "},\n";
   json << "  \"mna_dimension\": " << flat.mna_dimension << ",\n";
   json << "  \"sparse_solve_seconds\": " << sparse_seconds << ",\n";
   json << "  \"dense_solve_seconds\": " << dense_seconds << ",\n";

@@ -16,17 +16,32 @@ EdgeId Digraph::add_edge(VertexId from, VertexId to, double capacity) {
   return static_cast<EdgeId>(edges_.size() - 1);
 }
 
+namespace {
+
+/// Counting-sort CSR index of `edges` keyed by one endpoint; ids within a
+/// vertex's range stay in ascending edge-id order.
+template <typename EndpointOf>
+void build_index(const std::vector<Edge>& edges, std::size_t vertex_count,
+                 EndpointOf&& endpoint_of, std::vector<std::size_t>* index,
+                 std::vector<EdgeId>* ids) {
+  index->assign(vertex_count + 1, 0);
+  for (const Edge& e : edges) ++(*index)[endpoint_of(e) + 1];
+  for (std::size_t v = 0; v < vertex_count; ++v)
+    (*index)[v + 1] += (*index)[v];
+  ids->resize(edges.size());
+  std::vector<std::size_t> cursor(index->begin(), index->end() - 1);
+  for (EdgeId e = 0; e < edges.size(); ++e)
+    (*ids)[cursor[endpoint_of(edges[e])]++] = e;
+}
+
+}  // namespace
+
 void Digraph::finalize() {
   if (finalized_) return;
-  out_index_.assign(vertex_count_ + 1, 0);
-  for (const Edge& e : edges_) ++out_index_[e.from + 1];
-  for (std::size_t v = 0; v < vertex_count_; ++v)
-    out_index_[v + 1] += out_index_[v];
-  out_edge_ids_.resize(edges_.size());
-  std::vector<std::size_t> cursor(out_index_.begin(),
-                                  out_index_.end() - 1);
-  for (EdgeId e = 0; e < edges_.size(); ++e)
-    out_edge_ids_[cursor[edges_[e].from]++] = e;
+  build_index(edges_, vertex_count_, [](const Edge& e) { return e.from; },
+              &out_index_, &out_edge_ids_);
+  build_index(edges_, vertex_count_, [](const Edge& e) { return e.to; },
+              &in_index_, &in_edge_ids_);
   finalized_ = true;
 }
 
@@ -45,6 +60,14 @@ std::span<const EdgeId> Digraph::out_edges(VertexId v) const {
     throw std::out_of_range("Digraph::out_edges: vertex out of range");
   return {out_edge_ids_.data() + out_index_[v],
           out_index_[v + 1] - out_index_[v]};
+}
+
+std::span<const EdgeId> Digraph::in_edges(VertexId v) const {
+  if (!finalized_)
+    throw std::logic_error("Digraph::in_edges: call finalize() first");
+  if (v >= vertex_count_)
+    throw std::out_of_range("Digraph::in_edges: vertex out of range");
+  return {in_edge_ids_.data() + in_index_[v], in_index_[v + 1] - in_index_[v]};
 }
 
 bool Digraph::is_complete() const {

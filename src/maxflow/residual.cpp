@@ -40,7 +40,11 @@ ResidualNetwork::ResidualNetwork(const graph::Digraph& g) {
     fwd_list.push_back(fwd);
     bwd_list.push_back(bwd);
   }
-  eps_ = std::max(max_cap, 1.0) * kRelativeEps;
+  // Purely relative, never floored: PPUF capacities are ~1e-7 A, where an
+  // absolute 1e-12 would be ~1e-5 of an edge, and residuals or excess
+  // below it would be dropped, leaving the solvers ~1e-7 (relative) short
+  // of the maximum.
+  eps_ = max_cap * kRelativeEps;
 }
 
 void ResidualNetwork::push(graph::VertexId v, std::uint32_t arc_index,

@@ -14,26 +14,16 @@ namespace {
 /// residual graph: forward arcs with slack plus backward arcs with flow.
 graph::NeighborFn residual_neighbors(const graph::Digraph& g,
                                      std::span<const double> flow,
-                                     double tolerance,
-                                     const std::vector<std::vector<
-                                         graph::EdgeId>>& in_edges) {
-  return [&g, flow, tolerance, &in_edges](graph::VertexId v,
-                                          std::vector<graph::VertexId>& out) {
+                                     double tolerance) {
+  return [&g, flow, tolerance](graph::VertexId v,
+                               std::vector<graph::VertexId>& out) {
     for (graph::EdgeId e : g.out_edges(v)) {
       if (g.edge(e).capacity - flow[e] > tolerance) out.push_back(g.edge(e).to);
     }
-    for (graph::EdgeId e : in_edges[v]) {
+    for (graph::EdgeId e : g.in_edges(v)) {
       if (flow[e] > tolerance) out.push_back(g.edge(e).from);
     }
   };
-}
-
-std::vector<std::vector<graph::EdgeId>> build_in_edges(
-    const graph::Digraph& g) {
-  std::vector<std::vector<graph::EdgeId>> in_edges(g.vertex_count());
-  for (graph::EdgeId e = 0; e < g.edge_count(); ++e)
-    in_edges[g.edge(e).to].push_back(e);
-  return in_edges;
 }
 
 }  // namespace
@@ -70,12 +60,11 @@ VerifyResult verify_flow(const graph::Digraph& g, graph::VertexId source,
   // outgoing — contributes its own measurement error, so the slack must
   // cover the full incident count or a high-in-degree vertex with
   // legitimate per-edge error gets falsely rejected.
-  const auto in_edges = build_in_edges(g);
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
     if (v == source || v == sink) continue;
     const double slack =
         tolerance * static_cast<double>(
-                        in_edges[v].size() + g.out_degree(v));
+                        g.in_edges(v).size() + g.out_degree(v));
     if (std::abs(net[v]) > slack) {
       std::ostringstream os;
       os << "conservation violated at vertex " << v << ": net=" << net[v];
@@ -87,7 +76,7 @@ VerifyResult verify_flow(const graph::Digraph& g, graph::VertexId source,
   result.value = -net[source];
 
   // Optimality: the sink must be unreachable in the residual graph.
-  const auto neighbors = residual_neighbors(g, flow, tolerance, in_edges);
+  const auto neighbors = residual_neighbors(g, flow, tolerance);
   const auto dist =
       thread_count <= 1
           ? graph::bfs_distances(g.vertex_count(), source, neighbors)
@@ -108,8 +97,7 @@ std::vector<bool> residual_reachable(const graph::Digraph& g,
                                      unsigned thread_count) {
   if (flow.size() != g.edge_count())
     throw std::invalid_argument("residual_reachable: flow size mismatch");
-  const auto in_edges = build_in_edges(g);
-  const auto neighbors = residual_neighbors(g, flow, tolerance, in_edges);
+  const auto neighbors = residual_neighbors(g, flow, tolerance);
   const auto dist =
       thread_count <= 1
           ? graph::bfs_distances(g.vertex_count(), source, neighbors)

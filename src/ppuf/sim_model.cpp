@@ -1,22 +1,39 @@
 #include "ppuf/sim_model.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
-#include "graph/complete.hpp"
+#include "maxflow/star_certificate.hpp"
 #include "obs/metrics.hpp"
 
 namespace ppuf {
 
+namespace {
+
+/// One thread's reusable max-flow instance: a copy of the last topology it
+/// served, re-weighted per call.
+struct GraphScratch {
+  std::shared_ptr<const CrossbarTopology> topology;
+  graph::Digraph graph;
+};
+
+thread_local GraphScratch t_graph;
+
+/// One thread's certificate output buffer (its edge_flow is reused).
+thread_local maxflow::FlowResult t_certificate;
+
+}  // namespace
+
 SimulationModel::SimulationModel(MaxFlowPpuf& instance,
                                  const circuit::Environment& env)
-    : layout_(instance.layout()),
+    : topology_(CrossbarTopology::of(instance.layout())),
       comparator_offset_(instance.comparator_offset()) {
   instance.prepare(env);
-  const std::size_t edges = layout_.edge_count();
+  const std::size_t edges = layout().edge_count();
   for (int net = 0; net < 2; ++net) {
     const CrossbarNetwork& network =
         net == 0 ? instance.network_a() : instance.network_b();
@@ -45,7 +62,7 @@ SimulationModel SimulationModel::restore(
 }
 
 double SimulationModel::mean_capacity() const {
-  const std::size_t edges = layout_.edge_count();
+  const std::size_t edges = layout().edge_count();
   if (edges == 0) return 0.0;
   double sum = 0.0;
   for (const auto& caps : capacities_)
@@ -60,15 +77,35 @@ double SimulationModel::capacity(int network, graph::EdgeId e,
   return capacities_[network].at(e)[bit];
 }
 
+void SimulationModel::reweight(int network, const Challenge& challenge,
+                               graph::Digraph* g) const {
+  if (network < 0 || network > 1)
+    throw std::invalid_argument("SimulationModel: bad network index");
+  if (challenge.bits.size() != layout().cell_count())
+    throw std::invalid_argument("SimulationModel: challenge size mismatch");
+  const auto& caps = capacities_[network];
+  const std::span<const std::uint32_t> cells = topology_->edge_cells();
+  const std::uint8_t* bits = challenge.bits.data();
+  g->reweight([&](graph::EdgeId e) {
+    return caps[e][bits[cells[e]] != 0 ? 1 : 0];
+  });
+}
+
 graph::Digraph SimulationModel::build_graph(int network,
                                             const Challenge& challenge) const {
-  if (challenge.bits.size() != layout_.cell_count())
-    throw std::invalid_argument("SimulationModel: challenge size mismatch");
-  const std::size_t n = layout_.node_count();
-  return graph::make_complete(n, [&](graph::VertexId i, graph::VertexId j) {
-    const int bit = challenge.bits[layout_.cell_of_edge(i, j)] ? 1 : 0;
-    return capacity(network, layout_.edge_id(i, j), bit);
-  });
+  graph::Digraph g = topology_->graph();
+  reweight(network, challenge, &g);
+  return g;
+}
+
+const graph::Digraph& SimulationModel::scratch_graph(
+    int network, const Challenge& challenge) const {
+  if (t_graph.topology != topology_) {
+    t_graph.graph = topology_->graph();
+    t_graph.topology = topology_;
+  }
+  reweight(network, challenge, &t_graph.graph);
+  return t_graph.graph;
 }
 
 double SimulationModel::predicted_flow(int network,
@@ -86,11 +123,11 @@ void SimulationModel::save(std::ostream& os) const {
   //   comparator_offset <A>
   //   <edges> lines: capA0 capA1 capB0 capB1   (amperes, edge-id order)
   os << "ppuf-model 1\n";
-  os << "nodes " << layout_.node_count() << " grid " << layout_.grid_size()
-     << "\n";
+  os << "nodes " << layout().node_count() << " grid "
+     << layout().grid_size() << "\n";
   os << std::setprecision(17) << std::scientific;
   os << "comparator_offset " << comparator_offset_ << "\n";
-  for (graph::EdgeId e = 0; e < layout_.edge_count(); ++e) {
+  for (graph::EdgeId e = 0; e < layout().edge_count(); ++e) {
     os << capacities_[0][e][0] << ' ' << capacities_[0][e][1] << ' '
        << capacities_[1][e][0] << ' ' << capacities_[1][e][1] << '\n';
   }
@@ -113,29 +150,59 @@ SimulationModel SimulationModel::load(std::istream& is) {
   SimulationModel model{CrossbarLayout(n, l)};
   if (!(is >> key >> model.comparator_offset_) || key != "comparator_offset")
     fail("missing comparator_offset");
-  const std::size_t edges = model.layout_.edge_count();
+  const std::size_t edges = model.layout().edge_count();
   for (int net = 0; net < 2; ++net) model.capacities_[net].resize(edges);
   for (graph::EdgeId e = 0; e < edges; ++e) {
     double a0 = 0, a1 = 0, b0 = 0, b1 = 0;
     if (!(is >> a0 >> a1 >> b0 >> b1)) fail("truncated capacity table");
-    if (a0 < 0 || a1 < 0 || b0 < 0 || b1 < 0)
-      fail("negative capacity");
+    for (const double c : {a0, a1, b0, b1})
+      if (!std::isfinite(c) || c < 0.0)
+        fail("capacity not finite and non-negative");
     model.capacities_[0][e] = {a0, a1};
     model.capacities_[1][e] = {b0, b1};
   }
   return model;
 }
 
+SimulationModel::PredictCounters SimulationModel::predict_counters() {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  if (!reg.enabled()) return {};
+  return {&reg.counter("ppuf.predict.certified"),
+          &reg.counter("ppuf.predict.fallback")};
+}
+
 SimulationModel::Prediction SimulationModel::predict(
     const Challenge& challenge, maxflow::Algorithm algorithm,
     const util::SolveControl& control) const {
+  return predict_one(challenge, algorithm, control, predict_counters());
+}
+
+SimulationModel::Prediction SimulationModel::predict_one(
+    const Challenge& challenge, maxflow::Algorithm algorithm,
+    const util::SolveControl& control,
+    const PredictCounters& counters) const {
   Prediction p;
-  const auto solver = maxflow::make_solver(algorithm);
+  util::StopCheck stop(control, /*stride=*/1);
+  std::unique_ptr<maxflow::Solver> solver;  // built on the first miss
   for (int net = 0; net < 2; ++net) {
-    const graph::Digraph g = build_graph(net, challenge);
-    const auto r =
-        solver->solve({&g, challenge.source, challenge.sink}, control);
-    (net == 0 ? p.flow_a : p.flow_b) = r.value;
+    if (stop.should_stop()) {
+      // An exhausted budget answers typed before any work, certificate
+      // included: the caller has already given up on this item.
+      p.status = stop.status("predict");
+      return p;
+    }
+    const graph::Digraph& g = scratch_graph(net, challenge);
+    const graph::FlowProblem problem{&g, challenge.source, challenge.sink};
+    double& value = net == 0 ? p.flow_a : p.flow_b;
+    if (maxflow::star_certificate(problem, &t_certificate)) {
+      value = t_certificate.value;
+      if (counters.certified != nullptr) counters.certified->add();
+      continue;
+    }
+    if (counters.fallback != nullptr) counters.fallback->add();
+    if (solver == nullptr) solver = maxflow::make_solver(algorithm);
+    const maxflow::FlowResult r = solver->solve(problem, control);
+    value = r.value;
     if (!r.ok()) {
       // A stopped solve proves nothing about either network: surface the
       // typed status and leave the bit at its default.
@@ -170,8 +237,9 @@ std::vector<SimulationModel::Prediction> SimulationModel::predict_batch(
   obs::Histogram* m_item_time =
       reg.enabled() ? &reg.histogram("ppuf.predict_batch.item_time_us")
                     : nullptr;
+  const PredictCounters counters = predict_counters();
 
-  // One item = cache probe, then (on miss) the two max-flow solves of
+  // One item = cache probe, then (on miss) the two max-flow values of
   // predict().  Only completed predictions enter the cache: a partial
   // (deadline/cancel) result proves nothing about the response.
   auto run_item = [&](std::size_t i) {
@@ -206,7 +274,7 @@ std::vector<SimulationModel::Prediction> SimulationModel::predict_batch(
         return;
       }
     }
-    results[i] = predict(c, options.algorithm, item_control);
+    results[i] = predict_one(c, options.algorithm, item_control, counters);
     if (m_failures != nullptr && !results[i].ok()) m_failures->add();
     if (options.cache != nullptr && results[i].ok()) {
       options.cache->insert(

@@ -6,18 +6,30 @@
 // (one per network) and comparing the values; the security of the PPUF
 // rests solely on how *long* that takes (the ESG), not on the model being
 // secret.
+//
+// PREDICT is certificate-first: each network's value is taken from
+// maxflow::star_certificate when its greedy star-cut flow closes (exact by
+// weak duality), and from the requested solver otherwise.  The graphs are
+// re-weighted copies of the geometry's shared CrossbarTopology, held in a
+// per-thread scratch, so a prediction builds no graph.
 #pragma once
 
 #include <array>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 #include "graph/digraph.hpp"
 #include "maxflow/solver.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/response_cache.hpp"
+#include "ppuf/topology.hpp"
 #include "util/status.hpp"
 #include "util/thread_pool.hpp"
+
+namespace ppuf::obs {
+class Counter;
+}  // namespace ppuf::obs
 
 namespace ppuf {
 
@@ -35,11 +47,12 @@ class SimulationModel {
   /// trips); a default-constructed model predicts nothing useful.
   SimulationModel() : SimulationModel(CrossbarLayout(2, 1)) {
     for (auto& caps : capacities_)
-      caps.assign(layout_.edge_count(), {0.0, 0.0});
+      caps.assign(layout().edge_count(), {0.0, 0.0});
   }
 
   /// Reassemble a model from already-validated parts (the binary codec's
-  /// decode path).  `capacities[net]` must have exactly
+  /// decode path): every capacity finite and non-negative, which PREDICT's
+  /// certificate relies on.  `capacities[net]` must have exactly
   /// `layout.edge_count()` entries; throws std::invalid_argument otherwise.
   static SimulationModel restore(
       const CrossbarLayout& layout,
@@ -52,8 +65,8 @@ class SimulationModel {
   void save(std::ostream& os) const;
   static SimulationModel load(std::istream& is);
 
-  std::size_t node_count() const { return layout_.node_count(); }
-  const CrossbarLayout& layout() const { return layout_; }
+  std::size_t node_count() const { return layout().node_count(); }
+  const CrossbarLayout& layout() const { return topology_->layout(); }
 
   /// Edge capacity (saturation current) of edge e in network (0 = A, 1 = B)
   /// under input bit `bit`.
@@ -63,7 +76,15 @@ class SimulationModel {
   /// graph is finalized, with edge ids matching the crossbar layout.
   graph::Digraph build_graph(int network, const Challenge& challenge) const;
 
-  /// Max-flow value of one network under a challenge.
+  /// The same instance written into the calling thread's scratch graph
+  /// (a copy of the shared topology, allocated once per thread and
+  /// geometry), so hot paths re-weight instead of building.  The reference
+  /// is valid until this thread's next scratch_graph() call, on any model.
+  const graph::Digraph& scratch_graph(int network,
+                                      const Challenge& challenge) const;
+
+  /// Max-flow value of one network under a challenge, always from a full
+  /// solve with `algorithm` (no certificate).
   double predicted_flow(int network, const Challenge& challenge,
                         maxflow::Algorithm algorithm =
                             maxflow::Algorithm::kPushRelabel) const;
@@ -80,9 +101,11 @@ class SimulationModel {
   };
 
   /// Predicted response: compare the two max-flow values through the
-  /// published comparator offset.  `control` bounds the two max-flow
-  /// solves; on stop the returned Prediction carries the typed status
-  /// instead of a response bit.
+  /// published comparator offset.  Each value comes from the star-cut
+  /// certificate when it closes and from a full solve with `algorithm`
+  /// otherwise; both are exact.  `control` is checked before each network
+  /// and bounds the fallback solves; on stop the returned Prediction
+  /// carries the typed status instead of a response bit.
   Prediction predict(const Challenge& challenge,
                      maxflow::Algorithm algorithm =
                          maxflow::Algorithm::kPushRelabel,
@@ -124,7 +147,9 @@ class SimulationModel {
   /// Predict a whole batch of challenges.  Results are in input order, one
   /// Prediction per challenge, and are bitwise independent of the worker
   /// count and of cache hits (a hit returns exactly what the solve
-  /// produced when the entry was filled).
+  /// produced when the entry was filled).  With metrics enabled, every
+  /// network value counts once into ppuf.predict.certified or
+  /// ppuf.predict.fallback (predict() counts the same way).
   std::vector<Prediction> predict_batch(
       const std::vector<Challenge>& challenges,
       const PredictBatchOptions& options) const;
@@ -137,9 +162,28 @@ class SimulationModel {
   double mean_capacity() const;
 
  private:
-  explicit SimulationModel(const CrossbarLayout& layout) : layout_(layout) {}
+  explicit SimulationModel(const CrossbarLayout& layout)
+      : topology_(CrossbarTopology::of(layout)) {}
 
-  CrossbarLayout layout_;
+  /// Certificate-hit / fallback counters of one predict or batch; null
+  /// when metrics are disabled.
+  struct PredictCounters {
+    obs::Counter* certified = nullptr;
+    obs::Counter* fallback = nullptr;
+  };
+  static PredictCounters predict_counters();
+
+  /// Write this model's capacities for (network, challenge) into `g`, a
+  /// copy of topology_->graph().
+  void reweight(int network, const Challenge& challenge,
+                graph::Digraph* g) const;
+
+  Prediction predict_one(const Challenge& challenge,
+                         maxflow::Algorithm algorithm,
+                         const util::SolveControl& control,
+                         const PredictCounters& counters) const;
+
+  std::shared_ptr<const CrossbarTopology> topology_;
   // capacities_[network][edge][bit]
   std::array<std::vector<std::array<double, 2>>, 2> capacities_;
   double comparator_offset_ = 0.0;

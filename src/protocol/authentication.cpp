@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "maxflow/star_certificate.hpp"
 #include "maxflow/verify.hpp"
 #include "obs/metrics.hpp"
 
@@ -30,8 +31,8 @@ std::string report_shape_error(const ProverReport& report) {
   return {};
 }
 
-/// Per-network checks that need the graph: claimed flow vector must match
-/// the edge count and contain only finite entries.
+/// Claimed flow vector must match the edge count and hold only finite
+/// entries.
 std::string flow_vector_error(const graph::Digraph& g,
                               const std::vector<double>& flow,
                               const char* which) {
@@ -45,6 +46,40 @@ std::string flow_vector_error(const graph::Digraph& g,
       return std::string("malformed report: ") + which +
              " contains a non-finite flow";
   }
+  return {};
+}
+
+/// The flow claims of one well-formed report: per network, the residual-
+/// graph check (feasible and maximum) on the thread's scratch instance,
+/// then the response bit against the claimed values.  Returns the first
+/// failure, empty when the claims hold; `*flows_valid` (when given) is set
+/// once both networks pass.  Shared by single, batch and chained
+/// verification.
+std::string flow_claims_error(const SimulationModel& model,
+                              const Challenge& challenge,
+                              const ProverReport& report, double tolerance,
+                              unsigned threads, bool* flows_valid) {
+  for (int net = 0; net < 2; ++net) {
+    const char* label = net == 0 ? "network A: " : "network B: ";
+    const char* which = net == 0 ? "edge_flow_a" : "edge_flow_b";
+    const auto& flow = net == 0 ? report.edge_flow_a : report.edge_flow_b;
+    const graph::Digraph& g = model.scratch_graph(net, challenge);
+    const std::string shape = flow_vector_error(g, flow, which);
+    if (!shape.empty()) return label + shape;
+    try {
+      const maxflow::VerifyResult v = maxflow::verify_flow(
+          g, challenge.source, challenge.sink, flow, tolerance, threads);
+      if (!v.optimal) return label + v.reason;
+    } catch (const std::exception& e) {
+      return label + std::string("verification error: ") + e.what();
+    }
+  }
+  if (flows_valid != nullptr) *flows_valid = true;
+  const int expected =
+      (report.flow_a - report.flow_b + model.comparator_offset()) > 0.0 ? 1
+                                                                        : 0;
+  if (report.bit != expected)
+    return "response bit inconsistent with claimed flows";
   return {};
 }
 
@@ -75,39 +110,11 @@ AuthenticationResult Verifier::verify(const Challenge& challenge,
   }
 
   // Residual-graph verification (cheap, parallelizable): feasibility plus
-  // no remaining augmenting path, per network.
-  for (int net = 0; net < 2; ++net) {
-    const char* label = net == 0 ? "network A: " : "network B: ";
-    const char* which = net == 0 ? "edge_flow_a" : "edge_flow_b";
-    const auto& flow = net == 0 ? report.edge_flow_a : report.edge_flow_b;
-    const graph::Digraph g = model_.build_graph(net, challenge);
-    const std::string shape = flow_vector_error(g, flow, which);
-    if (!shape.empty()) {
-      result.detail = label + shape;
-      return result;
-    }
-    try {
-      const maxflow::VerifyResult v = maxflow::verify_flow(
-          g, challenge.source, challenge.sink, flow, tolerance_, threads_);
-      if (!v.optimal) {
-        result.detail = label + v.reason;
-        return result;
-      }
-    } catch (const std::exception& e) {
-      result.detail = label + std::string("verification error: ") + e.what();
-      return result;
-    }
-  }
-  result.flows_valid = true;
-
-  const int expected_bit =
-      (report.flow_a - report.flow_b + model_.comparator_offset()) > 0.0 ? 1
-                                                                         : 0;
-  result.bit_consistent = report.bit == expected_bit;
-  if (!result.bit_consistent) {
-    result.detail = "response bit inconsistent with claimed flows";
-    return result;
-  }
+  // no remaining augmenting path, per network; then the response bit.
+  result.detail = flow_claims_error(model_, challenge, report, tolerance_,
+                                    threads_, &result.flows_valid);
+  result.bit_consistent = result.flows_valid && result.detail.empty();
+  if (!result.detail.empty()) return result;
 
   result.accepted = true;
   return result;
@@ -173,48 +180,6 @@ ProverReport prove_with_ppuf(MaxFlowPpuf& instance,
   return r;
 }
 
-namespace {
-
-/// Flow-claims check for one round (no deadline involvement).
-bool round_flows_ok(const SimulationModel& model, const Challenge& challenge,
-                    const ProverReport& report, double tolerance,
-                    unsigned threads, std::string* why) {
-  *why = report_shape_error(report);
-  if (!why->empty()) return false;
-  for (int net = 0; net < 2; ++net) {
-    const char* label = net == 0 ? "network A: " : "network B: ";
-    const char* which = net == 0 ? "edge_flow_a" : "edge_flow_b";
-    const auto& flow = net == 0 ? report.edge_flow_a : report.edge_flow_b;
-    const graph::Digraph g = model.build_graph(net, challenge);
-    const std::string shape = flow_vector_error(g, flow, which);
-    if (!shape.empty()) {
-      *why = label + shape;
-      return false;
-    }
-    try {
-      const maxflow::VerifyResult v = maxflow::verify_flow(
-          g, challenge.source, challenge.sink, flow, tolerance, threads);
-      if (!v.optimal) {
-        *why = label + v.reason;
-        return false;
-      }
-    } catch (const std::exception& e) {
-      *why = label + std::string("verification error: ") + e.what();
-      return false;
-    }
-  }
-  const int expected =
-      (report.flow_a - report.flow_b + model.comparator_offset()) > 0.0 ? 1
-                                                                        : 0;
-  if (report.bit != expected) {
-    *why = "response bit inconsistent with claimed flows";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 ChainedVerifyResult verify_chain(const Verifier& verifier,
                                  const SimulationModel& model,
                                  const Challenge& first, std::size_t k,
@@ -267,10 +232,13 @@ ChainedVerifyResult verify_chain(const Verifier& verifier,
     }
   }
   for (const std::size_t i : to_check) {
-    std::string why;
-    if (!round_flows_ok(model, chain[i], report.rounds[i],
-                        verifier.flow_tolerance(), verifier.verify_threads(),
-                        &why)) {
+    const ProverReport& round = report.rounds[i];
+    std::string why = report_shape_error(round);
+    if (why.empty())
+      why = flow_claims_error(model, chain[i], round,
+                              verifier.flow_tolerance(),
+                              verifier.verify_threads(), nullptr);
+    if (!why.empty()) {
       result.detail = "round " + std::to_string(i) + ": " + why;
       return result;
     }
@@ -339,17 +307,20 @@ ChainedReport prove_chain_by_simulation(const SimulationModel& model,
   return report;
 }
 
-ProverReport prove_by_simulation(const SimulationModel& model,
-                                 const Challenge& challenge,
-                                 maxflow::Algorithm algorithm,
-                                 const util::SolveControl& control) {
+namespace {
+
+/// The shared body of the simulating impersonators: per network, `flow_of`
+/// produces the claimed flow; the report carries both and the bit they
+/// imply, timed on the wall clock.
+template <typename FlowOf>
+ProverReport prove_with(const SimulationModel& model,
+                        const Challenge& challenge, FlowOf&& flow_of) {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto solver = maxflow::make_solver(algorithm);
   ProverReport r;
   for (int net = 0; net < 2; ++net) {
     const graph::Digraph g = model.build_graph(net, challenge);
     const graph::FlowProblem problem{&g, challenge.source, challenge.sink};
-    const maxflow::FlowResult flow = solver->solve(problem, control);
+    const maxflow::FlowResult flow = flow_of(problem);
     if (net == 0) {
       r.flow_a = flow.value;
       r.edge_flow_a = flow.edge_flow;
@@ -369,6 +340,32 @@ ProverReport prove_by_simulation(const SimulationModel& model,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return r;
+}
+
+}  // namespace
+
+ProverReport prove_by_simulation(const SimulationModel& model,
+                                 const Challenge& challenge,
+                                 maxflow::Algorithm algorithm,
+                                 const util::SolveControl& control) {
+  const auto solver = maxflow::make_solver(algorithm);
+  return prove_with(model, challenge,
+                    [&](const graph::FlowProblem& problem) {
+                      return solver->solve(problem, control);
+                    });
+}
+
+ProverReport prove_by_certificate(const SimulationModel& model,
+                                  const Challenge& challenge,
+                                  const util::SolveControl& control) {
+  const auto solver = maxflow::make_solver(maxflow::Algorithm::kPushRelabel);
+  return prove_with(model, challenge,
+                    [&](const graph::FlowProblem& problem) {
+                      maxflow::FlowResult flow;
+                      if (maxflow::star_certificate(problem, &flow))
+                        return flow;
+                      return solver->solve(problem, control);
+                    });
 }
 
 }  // namespace ppuf::protocol

@@ -117,6 +117,16 @@ ProverReport prove_by_simulation(const SimulationModel& model,
                                      maxflow::Algorithm::kPushRelabel,
                                  const util::SolveControl& control = {});
 
+/// Impersonator with the certified star-cut shortcut: each network's flow
+/// function is maxflow::star_certificate's greedy witness when it closes,
+/// push-relabel's otherwise.  Either is a genuine maximum flow, so the
+/// Verifier accepts it; what changes is how fast an impostor answers,
+/// which is the gap the deadline has to sit in.  Elapsed time is real
+/// wall-clock; `control` bounds the fallback solves.
+ProverReport prove_by_certificate(const SimulationModel& model,
+                                  const Challenge& challenge,
+                                  const util::SolveControl& control = {});
+
 // --- Chained (feedback-loop) authentication -------------------------------
 //
 // The k-round variant that amplifies the ESG (Section 3.3): challenge

@@ -2,8 +2,10 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 namespace ppuf::protocol::codec {
@@ -111,6 +113,16 @@ bool Reader::str(std::string* s) {
   return true;
 }
 
+bool Reader::raw(void* out, std::size_t size) {
+  if (failed_ || size_ - pos_ < size) {
+    failed_ = true;
+    return false;
+  }
+  if (size != 0) std::memcpy(out, data_ + pos_, size);
+  pos_ += size;
+  return true;
+}
+
 // --- Challenge ------------------------------------------------------------
 
 void encode_challenge(Writer& w, const Challenge& c) {
@@ -158,15 +170,31 @@ util::Status decode_status(Reader& r, util::Status* out) {
 
 namespace {
 
+/// Where a double's in-memory bytes already are its wire form (an IEEE-754
+/// little-endian u64), a vector of them is copied in one block.
+constexpr bool kWireDoublesAreNative =
+    std::endian::native == std::endian::little &&
+    std::numeric_limits<double>::is_iec559;
+
 void encode_f64_vector(Writer& w, const std::vector<double>& v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const double x : v) w.f64(x);
+  if constexpr (kWireDoublesAreNative) {
+    w.raw(v.data(), v.size() * sizeof(double));
+  } else {
+    for (const double x : v) w.f64(x);
+  }
 }
 
 Status decode_f64_vector(Reader& r, std::vector<double>* out,
                          const char* what) {
   std::uint32_t count = 0;
   if (!r.u32(&count) || !plausible_count(r, count, 8)) return malformed(what);
+  if constexpr (kWireDoublesAreNative) {
+    out->resize(count);
+    if (!r.raw(out->data(), out->size() * sizeof(double)))
+      return malformed(what);
+    return Status::ok();
+  }
   out->clear();
   out->reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -334,7 +362,8 @@ util::Status decode_sim_model(Reader& r, SimulationModel* out) {
     double v[4] = {};
     for (double& x : v) {
       if (!r.f64(&x)) return malformed("model capacity table");
-      if (!(x >= 0.0)) return malformed("model capacity value");
+      if (!std::isfinite(x) || x < 0.0)
+        return malformed("model capacity value");
     }
     capacities[0][e] = {v[0], v[1]};
     capacities[1][e] = {v[2], v[3]};

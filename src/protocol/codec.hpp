@@ -66,6 +66,8 @@ class Reader {
   bool f64(double* v);
   /// Reads a u32 length + bytes; rejects lengths past the buffer end.
   bool str(std::string* s);
+  /// Copies the next `size` bytes verbatim (the inverse of Writer::raw).
+  bool raw(void* out, std::size_t size);
 
   bool failed() const { return failed_; }
   std::size_t remaining() const { return size_ - pos_; }

@@ -43,9 +43,8 @@ util::Status decode_device_entry(Reader& r, DeviceEntry* out,
   if (!r.u32(&model_len) || model_len > r.remaining())
     return malformed("device entry model length");
   out->model_bytes.resize(model_len);
-  for (std::uint32_t i = 0; i < model_len; ++i) {
-    if (!r.u8(&out->model_bytes[i])) return malformed("device entry model");
-  }
+  if (!r.raw(out->model_bytes.data(), model_len))
+    return malformed("device entry model");
   // The blob must itself be a valid model of the tagged backend whose
   // header agrees with the entry's mirror fields — catching a mismatch
   // here, at decode time, means hydration can never materialise a model

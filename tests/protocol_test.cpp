@@ -60,6 +60,24 @@ TEST_F(ProtocolFixture, SimulatingProverIsCorrectButCanBeTimedOut) {
   EXPECT_NE(r.detail.find("deadline"), std::string::npos);
 }
 
+TEST_F(ProtocolFixture, CertifiedImpostorWitnessIsAccepted) {
+  // The star-cut witness is a genuine maximum flow: the residual-graph
+  // check cannot tell it from a full solve, so only the deadline separates
+  // this impostor from the holder.  Its values match the full solve's.
+  const Verifier loose(*model, 1e9, tolerance());
+  for (int i = 0; i < 20; ++i) {
+    const Challenge c = loose.issue_challenge(rng);
+    const ProverReport cert = prove_by_certificate(*model, c);
+    const ProverReport sim = prove_by_simulation(*model, c);
+    ASSERT_TRUE(cert.status.is_ok());
+    const AuthenticationResult r = loose.verify(c, cert);
+    EXPECT_TRUE(r.accepted) << i << ": " << r.detail;
+    EXPECT_NEAR(cert.flow_a, sim.flow_a, 1e-12 * sim.flow_a) << i;
+    EXPECT_NEAR(cert.flow_b, sim.flow_b, 1e-12 * sim.flow_b) << i;
+    EXPECT_EQ(cert.bit, sim.bit) << i;
+  }
+}
+
 TEST_F(ProtocolFixture, WrongBitRejected) {
   const Verifier verifier(*model, 1e-3, tolerance());
   const Challenge c = verifier.issue_challenge(rng);

@@ -1,9 +1,11 @@
 // Tests for the public-model serialization (the PPUF's published identity).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "ppuf/sim_model.hpp"
+#include "protocol/codec.hpp"
 
 namespace ppuf {
 namespace {
@@ -87,6 +89,24 @@ TEST(Serialization, RejectsNegativeCapacity) {
       "ppuf-model 1\nnodes 2 grid 1\ncomparator_offset 0\n"
       "-1 1 1 1\n1 1 1 1\n");
   EXPECT_THROW(SimulationModel::load(ss), std::runtime_error);
+}
+
+TEST(Serialization, RejectsNonFiniteCapacity) {
+  // PREDICT's star-cut certificate sums capacities unchecked, so the
+  // binary codec (the registry and wire path) admits only finite ones.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    protocol::codec::Writer w;
+    w.u32(2);    // nodes
+    w.u32(1);    // grid
+    w.f64(0.0);  // comparator offset
+    for (int i = 0; i < 8; ++i) w.f64(i == 5 ? bad : 1e-7);
+    protocol::codec::Reader r(w.bytes().data(), w.bytes().size());
+    SimulationModel m;
+    EXPECT_EQ(protocol::codec::decode_sim_model(r, &m).code(),
+              util::StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 // claim into a checked property.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -23,6 +24,7 @@
 #include "protocol/codec.hpp"
 #include "registry/record.hpp"
 #include "util/crc32.hpp"
+#include "util/rng.hpp"
 #include "util/status.hpp"
 
 namespace ppuf {
@@ -1188,6 +1190,104 @@ TEST(RegistryFuzz, Crc32cKnownAnswer) {
   const std::uint32_t first = util::crc32c(text, 4);
   EXPECT_EQ(util::crc32c(text + 4, 5, first), 0xE3069283u);
   EXPECT_EQ(util::crc32c(nullptr, 0), 0u);
+}
+
+// ------------------------------------------- bulk-copied vectors and blobs
+
+/// A paper-scale edge-flow vector: one entry per edge of an n = 64
+/// complete graph, with the awkward values a memcpy must carry exactly.
+std::vector<double> paper_scale_flows(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> v(64 * 63);
+  for (double& x : v) x = rng.uniform(0.0, 1.2e-7);
+  v[0] = -0.0;
+  v[1] = 4.9e-324;  // smallest subnormal
+  v[2] = -1e300;
+  return v;
+}
+
+TEST(CodecBulk, PaperScaleReportMatchesThePerElementEncoding) {
+  protocol::ProverReport report = sample_report();
+  report.edge_flow_a = paper_scale_flows(1);
+  report.edge_flow_b = paper_scale_flows(2);
+  Writer w;
+  protocol::codec::encode_prover_report(w, report);
+
+  // The documented layout, written one little-endian double at a time.
+  Writer expected;
+  expected.u32(static_cast<std::uint32_t>(report.bit));
+  expected.f64(report.flow_a);
+  expected.f64(report.flow_b);
+  for (const auto* flows : {&report.edge_flow_a, &report.edge_flow_b}) {
+    expected.u32(static_cast<std::uint32_t>(flows->size()));
+    for (const double x : *flows) expected.f64(x);
+  }
+  expected.f64(report.elapsed_seconds);
+  protocol::codec::encode_status(expected, report.status);
+  EXPECT_EQ(w.bytes(), expected.bytes());
+
+  // Wire frame: decode, re-encode, byte-identical.
+  const std::vector<std::uint8_t> frame = net::encode_frame(
+      MessageType::kVerifyRequest, 7, 11, 0,
+      net::encode_verify_request(sample_challenge(), report));
+  Frame f;
+  std::size_t consumed = 0;
+  ASSERT_EQ(net::decode_frame(frame.data(), frame.size(), &f, &consumed),
+            DecodeResult::kOk);
+  Challenge c;
+  protocol::ProverReport decoded;
+  ASSERT_TRUE(net::decode_verify_request(f.payload, &c, &decoded).is_ok());
+  EXPECT_EQ(decoded.edge_flow_a.size(), 4032u);
+  EXPECT_EQ(net::encode_frame(MessageType::kVerifyRequest, 7, 11, 0,
+                              net::encode_verify_request(c, decoded)),
+            frame);
+}
+
+TEST(CodecBulk, PaperScaleDeviceEntryReencodesIdentically) {
+  // n = 64 model blob (129 KB) with arbitrary capacities.
+  const CrossbarLayout layout(64, 8);
+  util::Rng rng(5);
+  std::array<std::vector<std::array<double, 2>>, 2> caps;
+  for (auto& net : caps) {
+    net.resize(layout.edge_count());
+    for (auto& per_bit : net)
+      per_bit = {rng.uniform(0.0, 1e-7), rng.uniform(0.0, 1e-7)};
+  }
+  registry::WalRecord rec;
+  rec.entry.id = 42;
+  rec.entry.nodes = 64;
+  rec.entry.grid = 8;
+  rec.entry.label = "paper-scale";
+  Writer blob;
+  protocol::codec::encode_sim_model(
+      blob, SimulationModel::restore(layout, std::move(caps), 1e-9));
+  rec.entry.model_bytes = blob.bytes();
+
+  // WAL record.
+  const std::vector<std::uint8_t> frame = registry::frame_record(rec);
+  std::size_t consumed = 0;
+  std::vector<std::uint8_t> body;
+  std::string error;
+  ASSERT_EQ(registry::extract_record(frame.data(), frame.size(), &consumed,
+                                     &body, &error),
+            registry::ExtractStatus::kOk);
+  Reader r(body.data(), body.size());
+  registry::WalRecord out;
+  ASSERT_TRUE(registry::decode_wal_record(r, &out).is_ok());
+  EXPECT_EQ(out.entry.model_bytes, rec.entry.model_bytes);
+  EXPECT_EQ(registry::frame_record(out), frame);
+
+  // Snapshot.
+  registry::SnapshotBody snapshot;
+  snapshot.next_id = 43;
+  snapshot.entries = {rec.entry};
+  const std::vector<std::uint8_t> image = registry::frame_snapshot(snapshot);
+  registry::SnapshotBody parsed;
+  ASSERT_TRUE(
+      registry::parse_snapshot(image.data(), image.size(), &parsed).is_ok());
+  ASSERT_EQ(parsed.entries.size(), 1u);
+  EXPECT_EQ(parsed.entries[0].model_bytes, rec.entry.model_bytes);
+  EXPECT_EQ(registry::frame_snapshot(parsed), image);
 }
 
 }  // namespace
