@@ -18,10 +18,10 @@
 //      the first request per device pays the hydration cost (WAL decode +
 //      model materialisation), later ones hit the LRU cache.  Reports
 //      cold vs warm request latency.
-//   5. Coalescing: 64 pipelined connections against coalesce-off vs
-//      coalesce-on servers (the on-server also runs the device-keyed
-//      response cache, which per-frame dispatch never reads — that IS the
-//      uncached baseline).  Gate: >= 2x items/s.  Also sweeps
+//   5. Coalescing: 64 pipelined connections against a batch-size-1
+//      server with the response cache off (the uncached baseline) vs a
+//      coalescing server that also runs the device-keyed response cache.
+//      Gate: >= 2x items/s.  Also sweeps
 //      coalesce_max_batch in {1, 4, 16, 32} for a batch-size-vs-p99
 //      curve, and soaks a coalescing server under thousands of
 //      simultaneously open connections (clamped to RLIMIT_NOFILE).
@@ -516,7 +516,7 @@ int main(int argc, char** argv) {
   std::size_t coalesce_failures = 0;
   for (const CoalesceRun& r : curve) coalesce_failures += r.failures;
   std::cout << "coalescing leg: " << kCoalesceConnections
-            << " pipelined connections, batch 16 vs per-frame speedup "
+            << " pipelined connections, batch 16 vs batch 1 speedup "
             << util::Table::num(coalesce_speedup, 2) << "x\n";
 
   // Soak: thousands of simultaneously open connections (clamped to the

@@ -324,6 +324,14 @@ void register_standard_metrics(MetricsRegistry& registry) {
     registry.gauge(std::string("ppuf.response_cache.") + g);
   }
 
+  // Device registry (src/registry): committed WAL records, compactions,
+  // and auto-compactions that failed (best-effort, so counted instead of
+  // returned).
+  for (const char* c :
+       {"enrolls", "revokes", "compactions", "compaction_failures"}) {
+    registry.counter(std::string("registry.") + c);
+  }
+
   // Authentication server (src/server): request outcomes, connection
   // lifecycle, byte I/O, and a per-type wall-time histogram measured from
   // dispatch to completion enqueue.

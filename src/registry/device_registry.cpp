@@ -329,12 +329,7 @@ util::Status DeviceRegistry::enroll(const EnrollRequest& request,
   ++wal_records_since_snapshot_;
   if (id_out != nullptr) *id_out = id;
   if (obs::Counter* c = counter_or_null("registry.enrolls")) c->add();
-
-  // Auto-compaction is best-effort: the enroll is already durable in the
-  // WAL, so a failed snapshot must not make it look failed.
-  if (options_.auto_compact_records > 0 &&
-      wal_records_since_snapshot_ >= options_.auto_compact_records)
-    (void)compact_locked();
+  auto_compact_locked();
   return Status::ok();
 }
 
@@ -353,9 +348,7 @@ util::Status DeviceRegistry::revoke(std::uint64_t id) {
   it->second.revoked = true;
   ++wal_records_since_snapshot_;
   if (obs::Counter* c = counter_or_null("registry.revokes")) c->add();
-  if (options_.auto_compact_records > 0 &&
-      wal_records_since_snapshot_ >= options_.auto_compact_records)
-    (void)compact_locked();
+  auto_compact_locked();
   return Status::ok();
 }
 
@@ -424,6 +417,18 @@ util::Status DeviceRegistry::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!open_) return Status::internal("registry not open");
   return compact_locked();
+}
+
+void DeviceRegistry::auto_compact_locked() {
+  if (options_.auto_compact_records == 0 ||
+      wal_records_since_snapshot_ < options_.auto_compact_records)
+    return;
+  // Best-effort: the record is already durable in the WAL, so a failed
+  // snapshot must not make its append look failed.  It is counted, and
+  // the next append retries.
+  if (!compact_locked().is_ok())
+    if (obs::Counter* c = counter_or_null("registry.compaction_failures"))
+      c->add();
 }
 
 util::Status DeviceRegistry::compact_locked() {

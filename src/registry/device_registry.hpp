@@ -200,6 +200,9 @@ class DeviceRegistry {
   util::Status append_record_locked(const WalRecord& record);
   util::Status append_raw_locked(const std::uint8_t* data, std::size_t size);
   util::Status compact_locked();
+  /// compact_locked() once auto_compact_records appends have accumulated;
+  /// a failure is counted in registry.compaction_failures, never returned.
+  void auto_compact_locked();
   std::string wal_path() const { return directory_ + "/wal.log"; }
   std::string snapshot_path() const { return directory_ + "/snapshot.bin"; }
 

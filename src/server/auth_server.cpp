@@ -76,9 +76,9 @@ struct AuthServer::Impl final : net::FrameLoop::Handler {
     cache_options.flow_tolerance_fraction = options.flow_tolerance_fraction;
     cache_options.verify_threads = 1;
     // Wired at materialisation: every hydrated device comes out of the
-    // cache already attached to the fleet's warm-response plane, so the
-    // coalesced predict path serves registry devices from the shared
-    // device-keyed cache without a second lookup layer.
+    // cache already attached to the fleet's warm-response plane, so
+    // PREDICT serves registry devices from the shared device-keyed cache
+    // without a second lookup layer.
     cache_options.response_cache =
         response_cache ? &*response_cache : nullptr;
     hydration.emplace(registry, cache_options);
@@ -102,7 +102,7 @@ struct AuthServer::Impl final : net::FrameLoop::Handler {
   /// only; the registry's own mutex serialises against other callers).
   std::unique_ptr<backend::Device> single_device;
   registry::DeviceRegistry* device_registry = nullptr;
-  /// Shared device-keyed CRP cache for the coalesced predict path
+  /// Shared device-keyed CRP cache for PREDICT
   /// (options.response_cache_bytes > 0).  Declared before `hydration`
   /// because hydrated devices carry a pointer into it.
   std::optional<ResponseCache> response_cache;
@@ -160,8 +160,9 @@ struct AuthServer::Impl final : net::FrameLoop::Handler {
 
   // --- coalescing stage (event-loop thread only) --------------------------
 
-  /// One frame parked in a per-device batch.  The deadline was re-anchored
-  /// at decode, so waiting in the batch burns the request's own budget.
+  /// One PREDICT / VERIFY frame of a device batch.  The deadline was
+  /// re-anchored at decode, so waiting in the batch burns the request's
+  /// own budget.
   struct PendingItem {
     std::uint64_t connection_id = 0;
     Frame frame;
@@ -172,8 +173,6 @@ struct AuthServer::Impl final : net::FrameLoop::Handler {
   /// leaves the map wholesale when it is flushed to the pool.  Parked
   /// frames are already admitted, so a drain waits for them.
   std::unordered_map<std::uint64_t, std::vector<PendingItem>> pending;
-
-  bool coalesce_enabled() const { return options.coalesce_max_batch > 1; }
 
   // Stats (relaxed atomics; read via AuthServer::stats()).  Connection,
   // framing, slow-peer and drain counts live in the loop.
@@ -200,10 +199,12 @@ struct AuthServer::Impl final : net::FrameLoop::Handler {
   /// expiry, in ms (clamped to [1, fallback]).
   int on_tick(bool draining_now, int fallback_ms) override;
 
-  /// Per-frame dispatch: one pool task for one frame (the pre-coalescing
-  /// path, still used for every non-batchable type and for solo frames).
+  /// Per-frame dispatch: one pool task for one frame of any type but
+  /// PREDICT / VERIFY, which are always served as a device batch.
   void submit_frame(std::uint64_t connection_id, Frame frame,
                     const util::Deadline& deadline);
+  /// One pool task for one device batch (of one item or many).
+  void submit_batch(std::uint64_t device_id, std::vector<PendingItem> items);
   /// Flush one device's open batch to the pool.
   void flush_device_batch(std::uint64_t device_id);
 
@@ -231,30 +232,26 @@ struct AuthServer::Impl final : net::FrameLoop::Handler {
 
   // --- request handlers (worker threads) ----------------------------------
 
-  /// The response cache the coalesced predict path should use for `ctx`:
-  /// the pointer the device was hydrated with (registry mode), or the
-  /// server's own cache (single-device mode); null when disabled.
+  /// The response cache PREDICT should use for `ctx`: the pointer the
+  /// device was hydrated with (registry mode), or the server's own cache
+  /// (single-device mode); null when disabled.
   ResponseCache* cache_for(const DeviceContext& ctx) {
     if (ctx.hold != nullptr) return ctx.hold->response_cache;
     return response_cache ? &*response_cache : nullptr;
   }
 
-  /// Serve one coalesced device batch on a worker: resolve the device
-  /// once, run predicts through predict_batch (device-keyed cache,
-  /// per-item deadlines) and verifies through verify_batch, then scatter
-  /// one completion per item back to its originating connection.
+  /// Serve one device batch on a worker, the only PREDICT / VERIFY path:
+  /// resolve the device once, run verifies through verify_batch and
+  /// predicts through predict_batch (device-keyed cache, per-item
+  /// deadlines), then scatter one completion per item back to its
+  /// originating connection.
   void run_batch(std::uint64_t device_id, std::vector<PendingItem> items);
 
   std::vector<std::uint8_t> handle(const Frame& frame,
                                    const util::Deadline& deadline);
   std::vector<std::uint8_t> handle_ping(const Frame& frame,
                                         const util::Deadline& deadline);
-  std::vector<std::uint8_t> handle_predict(const Frame& frame,
-                                           const util::Deadline& deadline);
-  std::vector<std::uint8_t> handle_verify(const Frame& frame,
-                                          const util::Deadline& deadline);
-  std::vector<std::uint8_t> handle_verify_batch(
-      const Frame& frame, const util::Deadline& deadline);
+  std::vector<std::uint8_t> handle_verify_batch(const Frame& frame);
   std::vector<std::uint8_t> handle_challenge(const Frame& frame);
   std::vector<std::uint8_t> handle_chained_auth(
       const Frame& frame, const util::Deadline& deadline);
@@ -347,31 +344,33 @@ void AuthServer::Impl::on_frame(std::uint64_t conn_id, Frame frame) {
 
   // Budget is re-anchored NOW, at decode: queue wait burns budget.
   const util::Deadline deadline = frame.deadline();
-  const bool batchable = coalesce_enabled() &&
-                         (frame.type == MessageType::kPredictRequest ||
-                          frame.type == MessageType::kVerifyRequest);
-  if (!batchable) {
-    submit_frame(conn_id, std::move(frame), deadline);
-    return;
-  }
-  // Batch-window deadline policy: a frame joins a batch only if its
-  // budget can survive the full window; otherwise it goes to the pool
-  // solo, where nothing ahead of it can eat the remaining budget.
-  if (!deadline.is_unlimited() &&
-      deadline.remaining() < std::chrono::microseconds(
-                                 options.coalesce_wait_us)) {
-    solo_dispatches.fetch_add(1, std::memory_order_relaxed);
-    reg.counter("server.solo_dispatches").add();
+  if (frame.type != MessageType::kPredictRequest &&
+      frame.type != MessageType::kVerifyRequest) {
     submit_frame(conn_id, std::move(frame), deadline);
     return;
   }
   const std::uint64_t device_id = frame.device_id;
-  std::vector<PendingItem>& batch = pending[device_id];
-  PendingItem item;
-  item.connection_id = conn_id;
-  item.frame = std::move(frame);
-  item.deadline = deadline;
+  PendingItem item{conn_id, std::move(frame), deadline, {}};
+  // Batch size 1 never waits.  Past that, a frame joins a batch only if
+  // its budget can survive the full window; otherwise it goes to the pool
+  // solo, where nothing ahead of it can eat the remaining budget.  Either
+  // way it is served as a one-item batch by the same run_batch.
+  const bool coalescing = options.coalesce_max_batch > 1;
+  if (!coalescing ||
+      (!deadline.is_unlimited() &&
+       deadline.remaining() <
+           std::chrono::microseconds(options.coalesce_wait_us))) {
+    if (coalescing) {
+      solo_dispatches.fetch_add(1, std::memory_order_relaxed);
+      reg.counter("server.solo_dispatches").add();
+    }
+    std::vector<PendingItem> one;
+    one.push_back(std::move(item));
+    submit_batch(device_id, std::move(one));
+    return;
+  }
   item.enqueued_at = std::chrono::steady_clock::now();
+  std::vector<PendingItem>& batch = pending[device_id];
   batch.push_back(std::move(item));
   if (batch.size() >= options.coalesce_max_batch)
     flush_device_batch(device_id);
@@ -379,22 +378,26 @@ void AuthServer::Impl::on_frame(std::uint64_t conn_id, Frame frame) {
 
 void AuthServer::Impl::submit_frame(std::uint64_t connection_id, Frame frame,
                                     const util::Deadline& deadline) {
-  auto shared_frame = std::make_shared<Frame>(std::move(frame));
-  pool.submit([this, shared_frame, deadline, connection_id] {
+  pool.submit([this, frame = std::move(frame), deadline, connection_id] {
     std::vector<std::uint8_t> reply;
     try {
-      reply = handle(*shared_frame, deadline);
+      reply = handle(frame, deadline);
     } catch (const std::exception& e) {
-      reply = encode_error_frame(shared_frame->request_id,
-                                 shared_frame->device_id,
+      reply = encode_error_frame(frame.request_id, frame.device_id,
                                  WireCode::kInternal, e.what());
     } catch (...) {
-      reply = encode_error_frame(shared_frame->request_id,
-                                 shared_frame->device_id,
+      reply = encode_error_frame(frame.request_id, frame.device_id,
                                  WireCode::kInternal,
                                  "unknown handler failure");
     }
     loop.post(connection_id, std::move(reply));
+  });
+}
+
+void AuthServer::Impl::submit_batch(std::uint64_t device_id,
+                                    std::vector<PendingItem> items) {
+  pool.submit([this, device_id, items = std::move(items)]() mutable {
+    run_batch(device_id, std::move(items));
   });
 }
 
@@ -417,12 +420,7 @@ void AuthServer::Impl::flush_device_batch(std::uint64_t device_id) {
       .record(static_cast<double>(
           std::chrono::duration_cast<std::chrono::microseconds>(waited)
               .count()));
-
-  auto shared_items =
-      std::make_shared<std::vector<PendingItem>>(std::move(items));
-  pool.submit([this, device_id, shared_items] {
-    run_batch(device_id, std::move(*shared_items));
-  });
+  submit_batch(device_id, std::move(items));
 }
 
 int AuthServer::Impl::on_tick(bool draining_now, int fallback_ms) {
@@ -464,12 +462,8 @@ std::vector<std::uint8_t> AuthServer::Impl::handle(
   switch (frame.type) {
     case MessageType::kPingRequest:
       return handle_ping(frame, deadline);
-    case MessageType::kPredictRequest:
-      return handle_predict(frame, deadline);
-    case MessageType::kVerifyRequest:
-      return handle_verify(frame, deadline);
     case MessageType::kVerifyBatchRequest:
-      return handle_verify_batch(frame, deadline);
+      return handle_verify_batch(frame);
     case MessageType::kChallengeRequest:
       return handle_challenge(frame);
     case MessageType::kChainedAuthRequest:
@@ -516,63 +510,8 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_ping(
                            net::encode_ping_reply(health()));
 }
 
-std::vector<std::uint8_t> AuthServer::Impl::handle_predict(
-    const Frame& frame, const util::Deadline& deadline) {
-  obs::ScopedTimer timer(obs::MetricsRegistry::global(),
-                         "server.predict.request_us");
-  DeviceContext ctx;
-  if (Status s = resolve_device(frame.device_id, &ctx); !s.is_ok())
-    return device_error_reply(frame, s);
-  Challenge challenge;
-  if (Status s = net::decode_predict_request(frame.payload, &challenge);
-      !s.is_ok())
-    return encode_error_frame(frame.request_id, frame.device_id,
-                              WireCode::kMalformed, s.message());
-  if (Status s = ctx.device->validate_challenge(challenge); !s.is_ok())
-    return encode_error_frame(frame.request_id, frame.device_id,
-                              WireCode::kInvalidArgument, s.message());
-  util::SolveControl control;
-  control.deadline = deadline;
-  const SimulationModel::Prediction p = ctx.device->predict(challenge,
-                                                            control);
-  if (!p.ok())
-    return encode_error_frame(frame.request_id, frame.device_id,
-                              wire_code_for(p.status), p.status.to_string());
-  return net::encode_frame(MessageType::kPredictReply, frame.request_id,
-                           frame.device_id, 0,
-                           net::encode_predict_reply(p));
-}
-
-std::vector<std::uint8_t> AuthServer::Impl::handle_verify(
-    const Frame& frame, const util::Deadline& deadline) {
-  obs::ScopedTimer timer(obs::MetricsRegistry::global(),
-                         "server.verify.request_us");
-  DeviceContext ctx;
-  if (Status s = resolve_device(frame.device_id, &ctx); !s.is_ok())
-    return device_error_reply(frame, s);
-  Challenge challenge;
-  protocol::ProverReport report;
-  if (Status s =
-          net::decode_verify_request(frame.payload, &challenge, &report);
-      !s.is_ok())
-    return encode_error_frame(frame.request_id, frame.device_id,
-                              WireCode::kMalformed, s.message());
-  if (Status s = ctx.device->validate_challenge(challenge); !s.is_ok())
-    return encode_error_frame(frame.request_id, frame.device_id,
-                              WireCode::kInvalidArgument, s.message());
-  if (deadline.expired())
-    return encode_error_frame(frame.request_id, frame.device_id,
-                              WireCode::kDeadlineExceeded,
-                              "budget expired before verification");
-  const protocol::AuthenticationResult result =
-      ctx.device->verify(challenge, report);
-  return net::encode_frame(MessageType::kVerifyReply, frame.request_id,
-                           frame.device_id, 0,
-                           net::encode_verify_reply(result));
-}
-
 std::vector<std::uint8_t> AuthServer::Impl::handle_verify_batch(
-    const Frame& frame, const util::Deadline& deadline) {
+    const Frame& frame) {
   obs::ScopedTimer timer(obs::MetricsRegistry::global(),
                          "server.verify_batch.request_us");
   DeviceContext ctx;
@@ -589,21 +528,15 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_verify_batch(
     if (Status s = ctx.device->validate_challenge(c); !s.is_ok())
       return encode_error_frame(frame.request_id, frame.device_id,
                                 WireCode::kInvalidArgument, s.message());
-  // Items run inline on this worker (no nested pool dispatch); the budget
-  // is checked between items so an expiring batch still answers typed.
-  std::vector<protocol::AuthenticationResult> results;
-  results.reserve(challenges.size());
-  for (std::size_t i = 0; i < challenges.size(); ++i) {
-    if (deadline.expired())
-      return encode_error_frame(frame.request_id, frame.device_id,
-                                WireCode::kDeadlineExceeded,
-                                "budget expired at batch item " +
-                                    std::to_string(i));
-    results.push_back(ctx.device->verify(challenges[i], reports[i]));
-  }
-  return net::encode_frame(MessageType::kVerifyBatchReply, frame.request_id,
-                           frame.device_id, 0,
-                           net::encode_verify_batch_reply(results));
+  // Items run inline on this worker: nested pool dispatch would deadlock
+  // the pool (DESIGN.md §12).  Like VERIFY, the budget is checked once,
+  // before any work (handle()).
+  protocol::Verifier::BatchVerifyOptions vopts;
+  vopts.thread_count = 1;
+  return net::encode_frame(
+      MessageType::kVerifyBatchReply, frame.request_id, frame.device_id, 0,
+      net::encode_verify_batch_reply(
+          ctx.device->verify_batch(challenges, reports, vopts)));
 }
 
 std::vector<std::uint8_t> AuthServer::Impl::handle_challenge(
@@ -761,148 +694,116 @@ std::vector<std::uint8_t> AuthServer::Impl::handle_wal_fetch(
 
 void AuthServer::Impl::run_batch(std::uint64_t device_id,
                                  std::vector<PendingItem> items) {
-  obs::ScopedTimer timer(obs::MetricsRegistry::global(),
-                         "server.batch.request_us");
-  // Every item produces exactly one reply, no matter how the batch goes.
-  std::vector<std::vector<std::uint8_t>> replies(items.size());
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  obs::ScopedTimer timer(reg, "server.batch.request_us");
+  // Every item produces exactly one reply, no matter how the batch goes,
+  // routed back to its own originating connection.
+  std::vector<net::FrameLoop::Completion> done(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    done[i].conn_id = items[i].connection_id;
+  auto fail = [&](std::size_t i, WireCode code, const std::string& message) {
+    done[i].bytes = encode_error_frame(items[i].frame.request_id,
+                                       items[i].frame.device_id, code,
+                                       message);
+  };
   try {
+    // A batch whose every budget expired in the queue or the window never
+    // hydrates its device.
     DeviceContext ctx;
-    if (Status resolved = resolve_device(device_id, &ctx);
-        !resolved.is_ok()) {
-      for (std::size_t i = 0; i < items.size(); ++i)
-        replies[i] = device_error_reply(items[i].frame, resolved);
-    } else {
-      // Partition: decode/validate failures answer their own item and
-      // drop out; the survivors gather into ONE predict_batch call and
-      // ONE verify_batch call.  Both run inline on this worker — nested
-      // pool dispatch would deadlock the pool (DESIGN.md §12).
-      struct PredictSlot {
-        std::size_t item;
-        Challenge challenge;
-      };
-      struct VerifySlot {
-        std::size_t item;
-        Challenge challenge;
-        protocol::ProverReport report;
-      };
-      std::vector<PredictSlot> predicts;
-      std::vector<VerifySlot> verifies;
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        const Frame& frame = items[i].frame;
-        if (frame.type == MessageType::kPredictRequest) {
-          Challenge c;
-          if (Status s = net::decode_predict_request(frame.payload, &c);
-              !s.is_ok()) {
-            replies[i] = encode_error_frame(frame.request_id, frame.device_id,
-                                            WireCode::kMalformed, s.message());
-            continue;
-          }
-          if (Status s = ctx.device->validate_challenge(c); !s.is_ok()) {
-            replies[i] = encode_error_frame(frame.request_id, frame.device_id,
-                                            WireCode::kInvalidArgument,
-                                            s.message());
-            continue;
-          }
-          predicts.push_back({i, std::move(c)});
-        } else {  // kVerifyRequest: dispatch() coalesces only these two
-          Challenge c;
-          protocol::ProverReport r;
-          if (Status s = net::decode_verify_request(frame.payload, &c, &r);
-              !s.is_ok()) {
-            replies[i] = encode_error_frame(frame.request_id, frame.device_id,
-                                            WireCode::kMalformed, s.message());
-            continue;
-          }
-          if (Status s = ctx.device->validate_challenge(c); !s.is_ok()) {
-            replies[i] = encode_error_frame(frame.request_id, frame.device_id,
-                                            WireCode::kInvalidArgument,
-                                            s.message());
-            continue;
-          }
-          verifies.push_back({i, std::move(c), std::move(r)});
-        }
+    const bool any_live =
+        std::any_of(items.begin(), items.end(), [](const PendingItem& it) {
+          return !it.deadline.expired();
+        });
+    const Status resolved =
+        any_live ? resolve_device(device_id, &ctx) : Status::ok();
+    // Partition: expired, unresolved, undecodable and invalid items answer
+    // on their own and drop out; the survivors gather into ONE
+    // verify_batch call and ONE predict_batch call, both inline on this
+    // worker (DESIGN.md §12).  Reports move; nothing is copied.
+    std::vector<std::size_t> vitems, pitems;
+    std::vector<Challenge> vc, pc;
+    std::vector<protocol::ProverReport> vr;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const Frame& frame = items[i].frame;
+      if (items[i].deadline.expired()) {
+        fail(i, WireCode::kDeadlineExceeded,
+             "budget expired before processing");
+        continue;
       }
-      if (!predicts.empty()) {
-        std::vector<Challenge> challenges;
-        challenges.reserve(predicts.size());
-        SimulationModel::PredictBatchOptions popts;
-        popts.algorithm = maxflow::Algorithm::kPushRelabel;
-        popts.thread_count = 1;  // inline: this IS a pool worker already
-        popts.cache = cache_for(ctx);
-        popts.cache_device_id = device_id;
-        popts.deadlines.reserve(predicts.size());
-        for (const PredictSlot& slot : predicts) {
-          challenges.push_back(slot.challenge);
-          popts.deadlines.push_back(items[slot.item].deadline);
-        }
-        const std::vector<SimulationModel::Prediction> preds =
-            ctx.device->predict_batch(challenges, popts);
-        for (std::size_t k = 0; k < predicts.size(); ++k) {
-          const std::size_t i = predicts[k].item;
-          const Frame& frame = items[i].frame;
-          if (!preds[k].ok())
-            replies[i] = encode_error_frame(frame.request_id, frame.device_id,
-                                            wire_code_for(preds[k].status),
-                                            preds[k].status.to_string());
-          else
-            replies[i] = net::encode_frame(
-                MessageType::kPredictReply, frame.request_id,
-                frame.device_id, 0, net::encode_predict_reply(preds[k]));
-        }
+      if (!resolved.is_ok()) {
+        done[i].bytes = device_error_reply(frame, resolved);
+        continue;
       }
-      if (!verifies.empty()) {
-        // verify_batch has no per-item deadline plumbing; check expiry
-        // per item here so a dead budget answers typed without poisoning
-        // its batch-mates.
-        std::vector<Challenge> vc;
-        std::vector<protocol::ProverReport> vr;
-        std::vector<std::size_t> live;
-        for (VerifySlot& slot : verifies) {
-          if (items[slot.item].deadline.expired()) {
-            const Frame& frame = items[slot.item].frame;
-            replies[slot.item] = encode_error_frame(
-                frame.request_id, frame.device_id,
-                WireCode::kDeadlineExceeded,
-                "budget expired in coalescing window");
-            continue;
-          }
-          live.push_back(slot.item);
-          vc.push_back(std::move(slot.challenge));
-          vr.push_back(std::move(slot.report));
-        }
-        if (!vc.empty()) {
-          protocol::Verifier::BatchVerifyOptions vopts;
-          vopts.thread_count = 1;  // inline on this worker
-          const std::vector<protocol::AuthenticationResult> results =
-              ctx.device->verify_batch(vc, vr, vopts);
-          for (std::size_t k = 0; k < live.size(); ++k) {
-            const Frame& frame = items[live[k]].frame;
-            replies[live[k]] = net::encode_frame(
-                MessageType::kVerifyReply, frame.request_id,
-                frame.device_id, 0, net::encode_verify_reply(results[k]));
-          }
-        }
+      const bool predict = frame.type == MessageType::kPredictRequest;
+      Challenge c;
+      protocol::ProverReport r;
+      Status s = predict ? net::decode_predict_request(frame.payload, &c)
+                         : net::decode_verify_request(frame.payload, &c, &r);
+      if (!s.is_ok()) {
+        fail(i, WireCode::kMalformed, s.message());
+        continue;
+      }
+      if (s = ctx.device->validate_challenge(c); !s.is_ok()) {
+        fail(i, WireCode::kInvalidArgument, s.message());
+        continue;
+      }
+      (predict ? pitems : vitems).push_back(i);
+      (predict ? pc : vc).push_back(std::move(c));
+      if (!predict) vr.push_back(std::move(r));
+    }
+    // Verifies first: verify_batch has no per-item deadline plumbing, so
+    // they run right after the expiry check above; predict_batch checks
+    // every item's own deadline itself.
+    if (!vc.empty()) {
+      protocol::Verifier::BatchVerifyOptions vopts;
+      vopts.thread_count = 1;
+      std::vector<protocol::AuthenticationResult> results;
+      {
+        obs::ScopedTimer t(reg, "server.verify.request_us");
+        results = ctx.device->verify_batch(vc, vr, vopts);
+      }
+      for (std::size_t k = 0; k < vitems.size(); ++k) {
+        const Frame& frame = items[vitems[k]].frame;
+        done[vitems[k]].bytes = net::encode_frame(
+            MessageType::kVerifyReply, frame.request_id, frame.device_id, 0,
+            net::encode_verify_reply(results[k]));
+      }
+    }
+    if (!pc.empty()) {
+      SimulationModel::PredictBatchOptions popts;
+      popts.algorithm = maxflow::Algorithm::kPushRelabel;
+      popts.thread_count = 1;  // inline: this IS a pool worker already
+      popts.cache = cache_for(ctx);
+      popts.cache_device_id = device_id;
+      popts.deadlines.reserve(pitems.size());
+      for (const std::size_t i : pitems)
+        popts.deadlines.push_back(items[i].deadline);
+      std::vector<SimulationModel::Prediction> preds;
+      {
+        obs::ScopedTimer t(reg, "server.predict.request_us");
+        preds = ctx.device->predict_batch(pc, popts);
+      }
+      for (std::size_t k = 0; k < pitems.size(); ++k) {
+        const Frame& frame = items[pitems[k]].frame;
+        done[pitems[k]].bytes =
+            preds[k].ok()
+                ? net::encode_frame(MessageType::kPredictReply,
+                                    frame.request_id, frame.device_id, 0,
+                                    net::encode_predict_reply(preds[k]))
+                : encode_error_frame(frame.request_id, frame.device_id,
+                                     wire_code_for(preds[k].status),
+                                     preds[k].status.to_string());
       }
     }
   } catch (const std::exception& e) {
     for (std::size_t i = 0; i < items.size(); ++i)
-      if (replies[i].empty())
-        replies[i] = encode_error_frame(items[i].frame.request_id,
-                                        items[i].frame.device_id,
-                                        WireCode::kInternal, e.what());
+      if (done[i].bytes.empty()) fail(i, WireCode::kInternal, e.what());
   } catch (...) {
     for (std::size_t i = 0; i < items.size(); ++i)
-      if (replies[i].empty())
-        replies[i] = encode_error_frame(items[i].frame.request_id,
-                                        items[i].frame.device_id,
-                                        WireCode::kInternal,
-                                        "unknown batch handler failure");
+      if (done[i].bytes.empty())
+        fail(i, WireCode::kInternal, "unknown handler failure");
   }
-  // Reply-scatter: one lock and one wake for the whole batch; each item
-  // routes back to its own originating connection.
-  std::vector<net::FrameLoop::Completion> done(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i)
-    done[i] = {items[i].connection_id, std::move(replies[i])};
+  // Reply-scatter: one lock and one wake for the whole batch.
   loop.post(std::move(done));
 }
 

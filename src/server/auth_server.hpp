@@ -74,21 +74,20 @@ struct AuthServerOptions {
   /// Upper bound honoured for PING delay_ms (a load-testing knob, not an
   /// invitation to park workers forever).
   std::uint32_t max_ping_delay_ms = 10000;
-  /// Cross-connection request coalescing (DESIGN.md §16).  When > 1 the
-  /// event loop gathers PREDICT / VERIFY frames from *all* connections
-  /// into per-device batches instead of dispatching one pool task per
-  /// frame: a batch closes when it reaches this many items, when its
-  /// oldest frame has waited coalesce_wait_us, or when the server starts
-  /// draining.  A frame whose budget cannot survive the batch window is
-  /// dispatched solo.  1 (the default) preserves per-frame dispatch
-  /// exactly — same tasks, same replies, byte for byte.
+  /// Cross-connection request coalescing (DESIGN.md §16).  PREDICT /
+  /// VERIFY frames are always served as per-device batches; when this is
+  /// > 1 the event loop gathers them from *all* connections: a batch
+  /// closes when it reaches this many items, when its oldest frame has
+  /// waited coalesce_wait_us, or when the server starts draining.  A frame
+  /// whose budget cannot survive the batch window is dispatched solo, as
+  /// a batch of one.  1 (the default) means "never wait": every frame is
+  /// its own batch.
   std::size_t coalesce_max_batch = 1;
   /// Batch window: the longest a coalesced frame waits before its batch
   /// is flushed to the worker pool regardless of fill.
   std::uint32_t coalesce_wait_us = 500;
-  /// Bytes of the shared, device-keyed CRP response cache wired into the
-  /// coalesced predict path; 0 disables.  Per-frame dispatch never reads
-  /// it, so a coalesce-off server measures the uncached baseline.
+  /// Bytes of the shared, device-keyed CRP response cache that PREDICT
+  /// reads at every batch size; 0 disables it (the uncached baseline).
   std::size_t response_cache_bytes = 0;
   /// Per-connection bound on queued reply bytes.  A peer that stops
   /// reading while replies keep arriving (a slow or blocked reader) is

@@ -44,6 +44,7 @@
 #include "net/client.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/sim_model.hpp"
 #include "protocol/authentication.hpp"
@@ -347,6 +348,110 @@ TEST(Coalescing, MidBatchDeadlineExpiryDoesNotPoisonBatchMates) {
   // The unlimited-budget frames really were served from a batch.
   EXPECT_GE(srv.stats().coalesced_items, 2u);
   srv.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Solo rule: a budget shorter than the window never waits for batch-mates.
+
+TEST(Coalescing, TightBudgetFrameDispatchesSoloPastAParkedBatch) {
+  AuthServerOptions o = coalescing_options();
+  o.coalesce_wait_us = 1'500'000;  // A stays parked far longer than B runs
+  AuthServer srv(shared_model(), o);
+  ASSERT_TRUE(srv.start().is_ok());
+  const util::Deadline io = util::Deadline::after_seconds(10.0);
+
+  util::Rng rng(45);
+  const Challenge c = random_challenge(shared_model().layout(), rng);
+  const std::vector<std::uint8_t> payload = net::encode_predict_request(c);
+  const SimulationModel::Prediction want = shared_model().predict(c);
+  auto send_predict = [&](std::uint16_t port, std::uint64_t request_id,
+                          std::uint32_t budget_ms, net::Socket* sock) {
+    ASSERT_TRUE(net::connect_tcp("127.0.0.1", port, 2000, sock).is_ok());
+    const std::vector<std::uint8_t> f = net::encode_frame(
+        MessageType::kPredictRequest, request_id, 0, budget_ms, payload);
+    ASSERT_TRUE(net::send_all(sock->fd(), f.data(), f.size(), io).is_ok());
+  };
+  auto expect_exact = [&](const Frame& reply, std::uint64_t request_id) {
+    ASSERT_EQ(reply.type, MessageType::kPredictReply);
+    EXPECT_EQ(reply.request_id, request_id);
+    SimulationModel::Prediction p;
+    ASSERT_TRUE(net::decode_predict_reply(reply.payload, &p).is_ok());
+    EXPECT_EQ(p.bit, want.bit);
+    EXPECT_EQ(p.flow_a, want.flow_a);
+    EXPECT_EQ(p.flow_b, want.flow_b);
+  };
+
+  // Connection A parks an unlimited-budget PREDICT for device 0.
+  net::Socket a;
+  send_predict(srv.port(), 1, 0, &a);
+  while (srv.stats().requests < 1 && !io.expired())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(srv.stats().requests, 1u);
+
+  // Connection B's budget (500 ms) cannot survive the window: it runs at
+  // once as a one-item batch and answers while A is still parked.
+  net::Socket b;
+  send_predict(srv.port(), 2, 500, &b);
+  Frame reply;
+  ASSERT_TRUE(read_frame(b.fd(), io, &reply).is_ok());
+  expect_exact(reply, 2);
+  AuthServer::Stats st = srv.stats();
+  EXPECT_EQ(st.coalesced_batches, 0u);
+  EXPECT_EQ(st.solo_dispatches, 1u);
+
+  // A's reply then comes from its own one-item batch at window close.
+  ASSERT_TRUE(read_frame(a.fd(), io, &reply).is_ok());
+  expect_exact(reply, 1);
+  st = srv.stats();
+  EXPECT_EQ(st.coalesced_batches, 1u);
+  EXPECT_EQ(st.coalesced_items, 1u);
+  EXPECT_EQ(st.solo_dispatches, 1u);
+  srv.stop();
+
+  // Batch size 1 never waits, so nothing is ever "solo".
+  AuthServer per_frame(shared_model(), per_frame_options());
+  ASSERT_TRUE(per_frame.start().is_ok());
+  net::Socket p;
+  send_predict(per_frame.port(), 3, 500, &p);
+  ASSERT_TRUE(read_frame(p.fd(), io, &reply).is_ok());
+  expect_exact(reply, 3);
+  EXPECT_EQ(per_frame.stats().solo_dispatches, 0u);
+  EXPECT_EQ(per_frame.stats().coalesced_batches, 0u);
+  per_frame.stop();
+}
+
+// ---------------------------------------------------------------------------
+// The response cache serves PREDICT at every batch size, batch size 1
+// included.
+
+TEST(Coalescing, ResponseCacheServesAtBatchSizeOne) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.set_enabled(true);
+  metrics.reset();
+  AuthServerOptions o = per_frame_options();
+  o.response_cache_bytes = 1 << 20;
+  AuthServer srv(shared_model(), o);
+  ASSERT_TRUE(srv.start().is_ok());
+
+  util::Rng rng(46);
+  const Challenge c = random_challenge(shared_model().layout(), rng);
+  AuthClient client("127.0.0.1", srv.port());
+  SimulationModel::Prediction cold, warm;
+  ASSERT_TRUE(client.predict(c, &cold).is_ok());
+  EXPECT_EQ(metrics.counter_value("ppuf.predict_batch.cache_hits"), 0u);
+  ASSERT_TRUE(client.predict(c, &warm).is_ok());
+  EXPECT_EQ(metrics.counter_value("ppuf.predict_batch.cache_hits"), 1u);
+  srv.stop();
+  metrics.set_enabled(false);
+
+  const SimulationModel::Prediction local = shared_model().predict(c);
+  for (const SimulationModel::Prediction& p : {cold, warm}) {
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(p.bit, local.bit);
+    EXPECT_EQ(p.flow_a, local.flow_a);
+    EXPECT_EQ(p.flow_b, local.flow_b);
+  }
+  EXPECT_EQ(srv.stats().coalesced_batches, 0u);
 }
 
 // ---------------------------------------------------------------------------

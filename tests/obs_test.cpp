@@ -239,7 +239,8 @@ TEST(ObsMetrics, StandardMetricsPreRegisterTheFullSchema) {
        {"maxflow.dinic.solves", "maxflow.push_relabel.discharges",
         "circuit.dc.newton_iterations", "ppuf.network_solver.solves",
         "maxflow.batch.retries", "ppuf.predict_batch.cache_hits",
-        "protocol.verify_batch.accepted"}) {
+        "protocol.verify_batch.accepted", "registry.enrolls",
+        "registry.compactions", "registry.compaction_failures"}) {
     EXPECT_TRUE(reg.has_metric(name)) << name;
     EXPECT_EQ(reg.counter_value(name), 0u) << name;
   }

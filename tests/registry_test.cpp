@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/sim_model.hpp"
 #include "registry/device_registry.hpp"
@@ -392,6 +393,44 @@ TEST(DeviceRegistry, SnapshotRenameFailureKeepsOldStateServing) {
   EXPECT_EQ(reopened.device_count(), 2u);
   EXPECT_TRUE(reopened.active(id1));
   EXPECT_TRUE(reopened.active(id2));
+}
+
+TEST(DeviceRegistry, FailedAutoCompactionIsCountedAndRetried) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.set_enabled(true);
+  metrics.reset();
+  const std::string dir = fresh_dir("auto_compact_failure");
+  DeviceRegistry::Options options;
+  options.auto_compact_records = 2;
+  std::uint64_t ids[3] = {};
+  {
+    DeviceRegistry reg;
+    ASSERT_TRUE(reg.open(dir, options).is_ok());
+    {
+      // The second enroll crosses the bound and its compaction's rename
+      // fails; the enroll is already durable in the WAL, so it succeeds.
+      testing::FaultSpec spec;
+      spec.registry_rename_failures = 1;
+      const testing::ScopedFaultInjection fault(spec);
+      ASSERT_TRUE(reg.enroll(small_request(121), &ids[0]).is_ok());
+      ASSERT_TRUE(reg.enroll(small_request(122), &ids[1]).is_ok());
+    }
+    EXPECT_EQ(metrics.counter_value("registry.compaction_failures"), 1u);
+    EXPECT_EQ(metrics.counter_value("registry.compactions"), 0u);
+    EXPECT_FALSE(fs::exists(dir + "/snapshot.bin"));
+    // The next enroll retries the compaction, which now succeeds.
+    ASSERT_TRUE(reg.enroll(small_request(123), &ids[2]).is_ok());
+    EXPECT_EQ(metrics.counter_value("registry.enrolls"), 3u);
+    EXPECT_EQ(metrics.counter_value("registry.compactions"), 1u);
+    EXPECT_EQ(metrics.counter_value("registry.compaction_failures"), 1u);
+    EXPECT_TRUE(fs::exists(dir + "/snapshot.bin"));
+    EXPECT_EQ(fs::file_size(dir + "/wal.log"), 0u);
+  }
+  metrics.set_enabled(false);
+  DeviceRegistry reopened;
+  ASSERT_TRUE(reopened.open(dir).is_ok());
+  EXPECT_EQ(reopened.device_count(), 3u);
+  for (const std::uint64_t id : ids) EXPECT_TRUE(reopened.active(id));
 }
 
 // ---------------------------------------------------------- hydration cache

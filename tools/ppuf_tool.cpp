@@ -167,11 +167,11 @@ constexpr CommandSpec kCommands[] = {
      "                 [--coalesce-batch <n>] [--coalesce-wait-us <us>]\n"
      "       (single-device mode refuses to run without an explicit\n"
      "        --seed: a guessable challenge seed breaks the protocol;\n"
-     "        the global --cache-mb sizes the serve response cache)"},
+     "        the global --cache-mb sizes the response cache PREDICT\n"
+     "        reads at every --coalesce-batch size)"},
     {"auth", 18,
      "auth <host:port> <nodes> <grid> <seed> [--device <id>]\n"
-     "                 [--backend maxflow|pdl] [--report-file <f>]\n"
-     "                 [--pipeline-depth <n>]"},
+     "                 [--backend maxflow|pdl] [--report-file <f>]"},
     {"enroll", 19,
      "enroll <registry-dir> <nodes> <grid> <seed> [--label <text>]\n"
      "                 [--backend maxflow|pdl]\n"
@@ -1096,10 +1096,6 @@ int cmd_auth(const std::vector<std::string>& args) {
     else if (args[i] == "--backend" && i + 1 < args.size()) {
       if (!backend::parse_backend(args[i + 1], &holder_backend))
         return usage_for("auth");
-    } else if (args[i] == "--pipeline-depth" && i + 1 < args.size()) {
-      copts.pipeline_depth = static_cast<int>(
-          parse_number("auth", args[i + 1]));
-      if (copts.pipeline_depth < 1) return usage_for("auth");
     } else
       return usage_for("auth");
   }
