@@ -30,17 +30,30 @@
 // The enabled-registry run's full snapshot is written to argv[2] (default
 // metrics_snapshot.json) so CI archives what the counters actually saw.
 //
+// An enrollment leg profiles the path that actually runs Newton: enrolls/s
+// through a registry (fabricate + WAL append) at n=24 and n=64, then one
+// n=64 fabrication split into layers by calling each layer's public
+// function over the same blocks and sweep points enrollment uses: netlist
+// build (build_block), the DC solves (DcSolver::solve), and inside them
+// Newton assembly (detail::assemble) and the LU refactor + solve
+// (SparseLu), timed once per converged sweep point and scaled by the
+// Newton iteration count; then the isat read and the WAL append
+// (DeviceRegistry::apply_wal_bytes).  It also counts recovery-ladder rungs
+// per enrollment by grid point.  Recorded as "enroll" in the JSON.
+//
 // Scaling expectation: items are independent max-flow solves, so on a
 // p-core host items/sec should grow near-linearly until p saturates (the
 // 4-thread column is the acceptance gate: >= 3x the 1-thread column on a
 // 4+ core machine).  On fewer cores the ratio degrades to the core count,
 // which the JSON records via "hardware_concurrency".
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <filesystem>
@@ -49,6 +62,7 @@
 #include "backend/backend.hpp"
 #include "bench_common.hpp"
 #include "circuit/dc.hpp"
+#include "circuit/mna.hpp"
 #include "obs/metrics.hpp"
 #include "ppuf/device_netlist.hpp"
 #include "ppuf/ppuf.hpp"
@@ -56,6 +70,7 @@
 #include "ppuf/sim_model.hpp"
 #include "puf/arbiter.hpp"
 #include "registry/device_registry.hpp"
+#include "registry/record.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -77,6 +92,194 @@ struct BackendLeg {
   double attack_error_small = 1.0;  ///< best-of-suite error, small N
   double attack_error_large = 1.0;  ///< best-of-suite error, large N
 };
+
+/// Enrollment leg: throughput plus a per-layer split of one fabrication.
+struct EnrollLeg {
+  std::map<std::size_t, double> enrolls_per_sec;  ///< by node count
+  double fabricate_ms = 0.0;      ///< MaxFlowBackend::fabricate, whole
+  double netlist_ms = 0.0;        ///< build_block, every block
+  double newton_ms = 0.0;         ///< DcSolver::solve, every sweep point
+  double newton_iterations = 0.0;
+  double assemble_ms = 0.0;       ///< per-call cost x Newton iterations
+  double lu_ms = 0.0;             ///< refactorize + solve, same scaling
+  double isat_ms = 0.0;           ///< running max over the swept prefix
+  double wal_append_ms = 0.0;     ///< one durable record append (median)
+  /// Solves that needed a recovery rung, by sweep voltage.
+  std::map<double, std::size_t> rungs_by_point;
+};
+
+template <typename F>
+double time_ms(F&& f) {
+  return bench::time_seconds(std::forward<F>(f)) * 1e3;
+}
+
+/// Enrolls/s through a fresh registry: fabricate + WAL append per device.
+double enroll_rate(std::size_t nodes, std::size_t grid, std::size_t count) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "bench_enroll_rate";
+  std::filesystem::remove_all(dir);
+  registry::DeviceRegistry reg;
+  if (!reg.open(dir.string()).is_ok()) std::abort();
+  const double seconds = bench::time_seconds([&] {
+    for (std::size_t i = 0; i < count; ++i) {
+      registry::EnrollRequest req;
+      req.node_count = nodes;
+      req.grid_size = grid;
+      req.seed = 9100 + i;
+      req.label = "bench";
+      std::uint64_t id = 0;
+      if (!reg.enroll(req, &id).is_ok()) std::abort();
+    }
+  });
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return static_cast<double>(count) / seconds;
+}
+
+EnrollLeg measure_enrollment() {
+  EnrollLeg leg;
+  leg.enrolls_per_sec[24] = enroll_rate(24, 4, bench::scaled(4, 2));
+  leg.enrolls_per_sec[kPredictNodes] =
+      enroll_rate(kPredictNodes, 8, bench::scaled(2, 1));
+
+  backend::FabricateRequest fab;
+  fab.node_count = kPredictNodes;
+  fab.grid_size = 8;
+  fab.seed = kFabricationSeed;
+  std::vector<std::uint8_t> blob;
+  const backend::PufBackend* mf =
+      backend::find_backend(backend::BackendKind::kMaxFlow);
+  leg.fabricate_ms = time_ms([&] {
+    if (!mf->fabricate(fab, nullptr, &blob).is_ok()) std::abort();
+  });
+
+  // Replay the capacity-only extraction of the same device layer by
+  // layer: each block's sweep from 0 V up to the capacity reference knot.
+  PpufParams params;
+  params.node_count = kPredictNodes;
+  params.grid_size = 8;
+  MaxFlowPpuf puf(params, kFabricationSeed);
+  const circuit::Environment env = circuit::Environment::nominal();
+  const std::vector<double> grid = characterization_grid(params);
+  const std::size_t zero = static_cast<std::size_t>(
+      std::find(grid.begin(), grid.end(), 0.0) - grid.begin());
+  const std::size_t knot = static_cast<std::size_t>(
+      std::find(grid.begin(), grid.end(), kCapacityReferenceVoltage) -
+      grid.begin());
+  circuit::DcOptions opts;
+  opts.temperature_c = env.temperature_c;
+  opts.symbolic_cache = std::make_shared<circuit::SymbolicCache>();
+  std::shared_ptr<const circuit::MnaStructure> structure;
+  numeric::SparseMatrix jac;
+  numeric::SparseLu lu;
+  std::vector<numeric::Vector> xs;  // converged unknowns per sweep point
+  numeric::Vector f;
+  double assemble_ms = 0.0, assemble_lu_ms = 0.0;
+  std::size_t solves = 0;
+  double isat_sink = 0.0;
+  for (const CrossbarNetwork* net : {&puf.network_a(), &puf.network_b()}) {
+    for (graph::EdgeId e = 0; e < puf.layout().edge_count(); ++e) {
+      for (int bit = 0; bit < 2; ++bit) {
+        SweepCircuit sc;
+        leg.netlist_ms += time_ms([&] {
+          sc = build_block(params, net->block_variation(e), bit, env);
+        });
+        const circuit::Netlist& nl = sc.netlist;
+        if (structure == nullptr) {
+          structure = circuit::build_mna_structure(nl, opts, {});
+          jac = structure->pattern;
+        }
+        const circuit::DcSolver solver(nl, opts);
+        std::vector<double> currents;
+        xs.clear();
+        circuit::OperatingPoint op, prev;
+        for (std::size_t i = zero; i <= knot; ++i) {
+          sc.netlist.set_voltage(sc.sweep_source, grid[i]);
+          leg.newton_ms += time_ms(
+              [&] { solver.solve(i == zero ? nullptr : &prev, &op); });
+          if (!op.converged) std::abort();
+          leg.newton_iterations += op.iterations;
+          if (op.diagnostics.strategy != circuit::RecoveryStage::kDirect)
+            ++leg.rungs_by_point[grid[i]];
+          currents.push_back(op.source_current(sc.sweep_source));
+          numeric::Vector& x = xs.emplace_back(
+              op.node_voltage.begin() + 1, op.node_voltage.end());
+          x.insert(x.end(), op.vsource_current.begin(),
+                   op.vsource_current.end());
+          std::swap(prev, op);
+        }
+        solves += xs.size();
+
+        // One Newton iteration's assembly, then assembly + LU refactor and
+        // solve, at each converged point of the block (timed per block so
+        // the clock's own cost stays out of the ~1 us calls).
+        auto assemble_at = [&](const numeric::Vector& x) {
+          f.assign(x.size(), 0.0);
+          jac.zero_values();
+          circuit::SlotReplaySink sink(&jac, structure->slots);
+          circuit::detail::assemble(nl, opts, x, f, &sink, {});
+        };
+        assemble_ms += time_ms([&] {
+          for (const numeric::Vector& x : xs) assemble_at(x);
+        });
+        assemble_lu_ms += time_ms([&] {
+          for (const numeric::Vector& x : xs) {
+            assemble_at(x);
+            if (!lu.refactorize(jac).is_ok() && !lu.factorize(jac).is_ok())
+              std::abort();
+            if (!lu.solve_in_place(f).is_ok()) std::abort();
+          }
+        });
+        leg.isat_ms += time_ms([&] {
+          double isat = currents.front();
+          for (const double c : currents) isat = std::max(c, isat);
+          isat_sink += isat;
+        });
+      }
+    }
+  }
+  if (!(isat_sink > 0.0)) std::abort();
+  // Every Newton iteration assembles; all but the converging one of each
+  // solve also refactor and solve.
+  const double n_solves = static_cast<double>(solves);
+  leg.assemble_ms = assemble_ms / n_solves * leg.newton_iterations;
+  leg.lu_ms = (assemble_lu_ms - assemble_ms) / n_solves *
+              (leg.newton_iterations - n_solves);
+
+  // The durable commit of the fabricated blob, as a registry applies it.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "bench_enroll_wal";
+  std::filesystem::remove_all(dir);
+  registry::DeviceRegistry reg;
+  registry::DeviceRegistry::Options ropts;
+  ropts.auto_compact_records = 0;
+  if (!reg.open(dir.string(), ropts).is_ok()) std::abort();
+  constexpr int kAppends = 5;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int i = 0; i < kAppends; ++i) {
+    registry::WalRecord rec;
+    rec.entry.id = static_cast<std::uint64_t>(i + 1);
+    rec.entry.nodes = kPredictNodes;
+    rec.entry.grid = 8;
+    rec.entry.label = "bench";
+    rec.entry.model_bytes = blob;
+    frames.push_back(registry::frame_record(rec));
+  }
+  std::size_t next = 0;
+  leg.wal_append_ms = 1e3 * bench::time_seconds_median(
+                                [&] {
+                                  const auto& bytes = frames[next++];
+                                  std::size_t used = 0;
+                                  if (!reg.apply_wal_bytes(bytes.data(),
+                                                           bytes.size(), &used)
+                                           .is_ok())
+                                    std::abort();
+                                },
+                                kAppends);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return leg;
+}
 
 }  // namespace
 
@@ -424,6 +627,31 @@ int main(int argc, char** argv) {
       "coin-flipping at the same budget — public-model security must come "
       "from the simulation gap, not model secrecy.");
 
+  std::cout << "\nenrollment leg (throughput, then one n=" << kPredictNodes
+            << " fabrication split by layer)...\n";
+  const EnrollLeg enroll = measure_enrollment();
+  for (const auto& [nodes, rate] : enroll.enrolls_per_sec)
+    std::cout << "n=" << nodes << ": " << util::Table::num(rate, 4)
+              << " enrolls/s\n";
+  util::Table split({"layer", "ms"});
+  split.add_row({"fabricate (whole)", util::Table::num(enroll.fabricate_ms, 4)});
+  split.add_row({"netlist build", util::Table::num(enroll.netlist_ms, 4)});
+  split.add_row({"DC solves", util::Table::num(enroll.newton_ms, 4)});
+  split.add_row({"  Newton assemble (est.)",
+                 util::Table::num(enroll.assemble_ms, 4)});
+  split.add_row({"  LU refactor+solve (est.)",
+                 util::Table::num(enroll.lu_ms, 4)});
+  split.add_row({"isat read", util::Table::num(enroll.isat_ms, 4)});
+  split.add_row({"WAL append", util::Table::num(enroll.wal_append_ms, 4)});
+  split.print(std::cout);
+  std::size_t total_rungs = 0;
+  for (const auto& [volts, rungs] : enroll.rungs_by_point) {
+    std::cout << "recovery rungs at " << volts << " V: " << rungs << "\n";
+    total_rungs += rungs;
+  }
+  std::cout << "Newton iterations " << enroll.newton_iterations
+            << ", recovery rungs " << total_rungs << " per enrollment\n";
+
   std::ofstream json(json_path);
   json << "{\n";
   json << "  \"items\": " << items << ",\n";
@@ -460,7 +688,29 @@ int main(int argc, char** argv) {
          << "\": " << leg.attack_error_large << "}";
     first = false;
   }
-  json << "}\n";
+  json << "},\n";
+  json << "  \"enroll\": {\"enrolls_per_sec\": {";
+  first = true;
+  for (const auto& [nodes, rate] : enroll.enrolls_per_sec) {
+    json << (first ? "" : ", ") << "\"" << nodes << "\": " << rate;
+    first = false;
+  }
+  json << "}, \"split_n" << kPredictNodes << "_ms\": {"
+       << "\"fabricate\": " << enroll.fabricate_ms << ", "
+       << "\"netlist_build\": " << enroll.netlist_ms << ", "
+       << "\"dc_solves\": " << enroll.newton_ms << ", "
+       << "\"newton_assemble_est\": " << enroll.assemble_ms << ", "
+       << "\"lu_refactor_solve_est\": " << enroll.lu_ms << ", "
+       << "\"isat_read\": " << enroll.isat_ms << ", "
+       << "\"wal_append\": " << enroll.wal_append_ms << "}, "
+       << "\"newton_iterations\": " << enroll.newton_iterations << ", "
+       << "\"recovery_rungs_by_grid_point\": {";
+  first = true;
+  for (const auto& [volts, rungs] : enroll.rungs_by_point) {
+    json << (first ? "" : ", ") << "\"" << volts << "\": " << rungs;
+    first = false;
+  }
+  json << "}}\n";
   json << "}\n";
   std::cout << "json written to " << json_path << "\n";
 

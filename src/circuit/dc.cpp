@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "circuit/mna.hpp"
@@ -93,23 +94,64 @@ bool limit_junctions(const Netlist& nl, const DcOptions& opts,
   return limited;
 }
 
-/// Linear-solve workspaces reused across every iteration of every
-/// recovery-ladder rung in one solve_newton call.  Exactly one of the two
-/// halves is active, per DcOptions::use_dense_solver.
+/// Newton and linear-solve workspaces, one per thread, kept alive across
+/// solves: enrollment runs hundreds of thousands of tiny same-topology
+/// solves, and rebuilding these per call (pattern copy, LU buffers, Newton
+/// vectors) would cost more than the arithmetic.  Exactly one of the two
+/// linear halves is active per solve, per DcOptions::use_dense_solver.
 struct NewtonWorkspace {
   bool dense = false;
+  /// Set while a solve on this thread owns the workspace; a nested solve
+  /// (none exists today) would fall back to a private one.
+  bool in_use = false;
 
   // Dense oracle path.
   numeric::Matrix j;
   numeric::Matrix j_scratch;
 
   // Sparse default path.  `structure` is the shared topology (pattern +
-  // replay slots + published symbolic analysis); `a` is this call's private
-  // value workspace over that pattern.
+  // replay slots + published symbolic analysis); `a` is this thread's
+  // private value workspace over that pattern, re-copied only when the
+  // structure changes.
   std::shared_ptr<const MnaStructure> structure;
   numeric::SparseMatrix a;
   numeric::SparseLu lu;
+
+  // Newton iterate, residual, trial point and step.
+  numeric::Vector x;
+  numeric::Vector f;
+  numeric::Vector x_trial;
+  numeric::Vector dx;
+
+  /// Prepare for one solve of dimension `dim`.  The LU is invalidated so
+  /// the solve starts from `structure->symbolic()` exactly as a fresh
+  /// SparseLu would: same pivot order, same bits.
+  void bind(bool use_dense, std::size_t dim,
+            std::shared_ptr<const MnaStructure> s) {
+    dense = use_dense;
+    if (dense) {
+      if (j.rows() != dim || j.cols() != dim) j = numeric::Matrix(dim, dim);
+    } else {
+      if (structure != s) {
+        a = s->pattern;
+        structure = std::move(s);
+      }
+      lu.invalidate();
+    }
+    x.resize(dim);
+    f.resize(dim);
+    x_trial.resize(dim);
+    dx.resize(dim);
+  }
 };
+
+thread_local NewtonWorkspace t_workspace;
+
+/// PPUF_NEWTON_TRACE is read once per process, not per iteration.
+bool newton_trace_enabled() {
+  static const bool enabled = std::getenv("PPUF_NEWTON_TRACE") != nullptr;
+  return enabled;
+}
 
 /// Factorise/refactorise the sparse workspace and solve for dx (already
 /// holding -f).  Prefers the cheap numeric replay against the held or
@@ -134,11 +176,17 @@ util::Status sparse_solve_step(NewtonWorkspace& ws, numeric::Vector& dx) {
   return ws.lu.solve_in_place({dx.data(), dx.size()});
 }
 
-/// One Newton run at fixed options; `x` is used as the initial guess and
-/// holds the final iterate on return.
-OperatingPoint run_newton(const Netlist& netlist, const DcOptions& options,
-                          const ExtraStamp& extra, numeric::Vector& x,
-                          NewtonWorkspace& ws) {
+/// Outcome of one Newton run at fixed options.
+struct NewtonRun {
+  int iterations = 0;
+  bool converged = false;
+  double residual = 0.0;  ///< final max node KCL error [A]
+};
+
+/// One Newton run at fixed options; `ws.x` is used as the initial guess
+/// and holds the final iterate on return.
+NewtonRun run_newton(const Netlist& netlist, const DcOptions& options,
+                     const ExtraStamp& extra, NewtonWorkspace& ws) {
   const std::size_t nv = netlist.node_count() - 1;
   const std::size_t ns = netlist.voltage_source_count();
   const std::size_t dim = nv + ns;
@@ -147,14 +195,11 @@ OperatingPoint run_newton(const Netlist& netlist, const DcOptions& options,
   // anywhere is gmin).
   constexpr double kVoltageClamp = 10.0;
 
-  numeric::Vector f(dim, 0.0);
-
-  OperatingPoint op;
-  op.node_voltage.assign(netlist.node_count(), 0.0);
-  op.vsource_current.assign(ns, 0.0);
-
-  numeric::Vector x_trial(dim);
-  numeric::Vector dx(dim);
+  numeric::Vector& x = ws.x;
+  numeric::Vector& f = ws.f;
+  numeric::Vector& x_trial = ws.x_trial;
+  numeric::Vector& dx = ws.dx;
+  NewtonRun run;
 
   // Anti-oscillation damping: full Newton steps can enter a period-2 cycle
   // across a device region boundary.  When the residual stops improving,
@@ -184,7 +229,7 @@ OperatingPoint run_newton(const Netlist& netlist, const DcOptions& options,
     for (std::size_t i = nv; i < dim; ++i)
       branch_residual = std::max(branch_residual, std::abs(f[i]));
 
-    op.iterations = iter;
+    run.iterations = iter;
     // Converged: KCL satisfied at every node and every source branch
     // equation met.  The raw Newton correction is deliberately NOT part of
     // the test: on a saturated plateau the Jacobian is near-singular along
@@ -192,7 +237,7 @@ OperatingPoint run_newton(const Netlist& netlist, const DcOptions& options,
     // a large (irrelevant) dx.
     if (node_residual < options.residual_tol &&
         branch_residual < options.voltage_tol) {
-      op.converged = true;
+      run.converged = true;
       break;
     }
 
@@ -240,9 +285,9 @@ OperatingPoint run_newton(const Netlist& netlist, const DcOptions& options,
     limit_junctions(netlist, options, x, x_trial);
     for (std::size_t i = 0; i < nv; ++i)
       x_trial[i] = std::clamp(x_trial[i], -kVoltageClamp, kVoltageClamp);
-    x = x_trial;
+    x.swap(x_trial);
 
-    if (std::getenv("PPUF_NEWTON_TRACE") != nullptr) {
+    if (newton_trace_enabled()) {
       std::fprintf(stderr, "iter %d resid=%.3e max_dv=%.3e scale=%.3e\n",
                    iter, node_residual, max_dv, scale);
     }
@@ -255,18 +300,16 @@ OperatingPoint run_newton(const Netlist& netlist, const DcOptions& options,
     }
   }
 
-  for (std::size_t i = 0; i < nv; ++i) op.node_voltage[i + 1] = x[i];
-  for (std::size_t k = 0; k < ns; ++k) op.vsource_current[k] = x[nv + k];
-  op.residual = node_residual;
-  return op;
+  run.residual = node_residual;
+  return run;
 }
 
 }  // namespace
 
-OperatingPoint solve_newton(const Netlist& netlist, const DcOptions& options,
-                            const ExtraStamp& extra,
-                            const OperatingPoint* warm_start,
-                            std::shared_ptr<const MnaStructure> structure) {
+void solve_newton(const Netlist& netlist, const DcOptions& options,
+                  const ExtraStamp& extra, const OperatingPoint* warm_start,
+                  std::shared_ptr<const MnaStructure> structure,
+                  OperatingPoint* out) {
   const std::size_t nv = netlist.node_count() - 1;
   const std::size_t ns = netlist.voltage_source_count();
   const std::size_t dim = nv + ns;
@@ -274,19 +317,24 @@ OperatingPoint solve_newton(const Netlist& netlist, const DcOptions& options,
   obs::ScopedTimer timer(obs::MetricsRegistry::global(),
                          "circuit.dc.solve_time_us");
 
-  NewtonWorkspace ws;
-  ws.dense = options.use_dense_solver;
-  if (ws.dense) {
-    ws.j = numeric::Matrix(dim, dim);
-  } else {
-    if (structure == nullptr || structure->dim != dim)
-      structure = build_mna_structure(netlist, options, extra);
-    ws.structure = std::move(structure);
-    ws.a = ws.structure->pattern;  // private value workspace, shared pattern
-  }
+  if (!options.use_dense_solver &&
+      (structure == nullptr || structure->dim != dim))
+    structure = build_mna_structure(netlist, options, extra);
+  std::optional<NewtonWorkspace> nested;
+  NewtonWorkspace& ws =
+      t_workspace.in_use ? nested.emplace() : t_workspace;
+  struct Claim {
+    NewtonWorkspace& ws;
+    explicit Claim(NewtonWorkspace& w) : ws(w) { ws.in_use = true; }
+    ~Claim() { ws.in_use = false; }
+  } claim(ws);
+  ws.bind(options.use_dense_solver, dim, std::move(structure));
+  numeric::Vector& x = ws.x;
 
-  auto warm_init = [&](numeric::Vector& x) {
-    x.assign(dim, 0.0);
+  // Only `warm_start`'s voltages and currents are read, and `out`'s are
+  // written only in finish(), so the two may alias.
+  auto warm_init = [&] {
+    std::fill(x.begin(), x.end(), 0.0);
     if (warm_start != nullptr &&
         warm_start->node_voltage.size() == netlist.node_count() &&
         warm_start->vsource_current.size() == ns) {
@@ -297,25 +345,32 @@ OperatingPoint solve_newton(const Netlist& netlist, const DcOptions& options,
     }
   };
 
-  SolveDiagnostics diag;
-  auto record = [&](RecoveryStage stage, const OperatingPoint& op,
+  // The diagnostics are built in `out`'s own (reused) stage list.
+  SolveDiagnostics& diag = out->diagnostics;
+  diag.stages.clear();
+  diag.total_iterations = 0;
+  auto record = [&](RecoveryStage stage, const NewtonRun& run,
                     int iterations) {
     diag.stages.push_back(
-        StageAttempt{stage, iterations, op.residual, op.converged});
+        StageAttempt{stage, iterations, run.residual, run.converged});
     diag.total_iterations += iterations;
     diag.strategy = stage;
   };
-  auto finish = [&](OperatingPoint op) {
-    diag.converged = op.converged;
-    diag.final_residual = op.residual;
-    op.iterations = diag.total_iterations;
+  auto finish = [&](const NewtonRun& run) {
+    diag.converged = run.converged;
+    diag.final_residual = run.residual;
+    out->converged = run.converged;
+    out->residual = run.residual;
+    out->iterations = diag.total_iterations;
+    out->node_voltage.resize(netlist.node_count());
+    out->node_voltage[0] = 0.0;
+    for (std::size_t i = 0; i < nv; ++i) out->node_voltage[i + 1] = x[i];
+    out->vsource_current.resize(ns);
+    for (std::size_t k = 0; k < ns; ++k) out->vsource_current[k] = x[nv + k];
     publish_solve_metrics(obs::MetricsRegistry::global(), "circuit.dc", diag);
-    op.diagnostics = std::move(diag);
-    return op;
   };
 
-  numeric::Vector x(dim, 0.0);
-  warm_init(x);
+  warm_init();
 
   // Rung 0 — direct damped Newton.  The test-only fault hook can starve
   // this rung (and only this rung) to force the ladder to fire.
@@ -324,29 +379,28 @@ OperatingPoint solve_newton(const Netlist& netlist, const DcOptions& options,
   const int cap =
       hooks.newton_direct_iteration_cap.load(std::memory_order_relaxed);
   if (cap > 0) direct.max_iterations = std::min(direct.max_iterations, cap);
-  OperatingPoint op = run_newton(netlist, direct, extra, x, ws);
-  record(RecoveryStage::kDirect, op, op.iterations);
-  if (op.converged || !options.enable_recovery) return finish(op);
+  NewtonRun run = run_newton(netlist, direct, extra, ws);
+  record(RecoveryStage::kDirect, run, run.iterations);
+  if (run.converged || !options.enable_recovery) return finish(run);
 
   // Rung 1 — gmin stepping: solve a heavily damped version first (every
   // node leaks to ground), then walk gmin back down, warm-starting each
   // stage — the classic SPICE continuation for circuits whose devices are
   // all cut off.
   if (!hooks.newton_skip_gmin_stage.load(std::memory_order_relaxed)) {
-    x.assign(dim, 0.0);
+    std::fill(x.begin(), x.end(), 0.0);
     int stage_iterations = 0;
     for (double gmin = 1e-4; gmin >= options.gmin * 0.99; gmin *= 1e-2) {
       DcOptions stage = options;
       stage.gmin = gmin;
       // Intermediate stages only need to hand over a good starting point.
       stage.residual_tol = std::max(options.residual_tol, gmin * 1e-3);
-      op = run_newton(netlist, stage, extra, x, ws);
-      stage_iterations += op.iterations;
+      stage_iterations += run_newton(netlist, stage, extra, ws).iterations;
     }
-    op = run_newton(netlist, options, extra, x, ws);
-    stage_iterations += op.iterations;
-    record(RecoveryStage::kGminStepping, op, stage_iterations);
-    if (op.converged) return finish(op);
+    run = run_newton(netlist, options, extra, ws);
+    stage_iterations += run.iterations;
+    record(RecoveryStage::kGminStepping, run, stage_iterations);
+    if (run.converged) return finish(run);
   }
 
   // Rung 2 — source stepping: homotopy in the excitation.  Ramp every
@@ -354,7 +408,7 @@ OperatingPoint solve_newton(const Netlist& netlist, const DcOptions& options,
   // step; at low drive all devices are near cutoff and Newton is tame.
   {
     Netlist scaled = netlist;
-    x.assign(dim, 0.0);
+    std::fill(x.begin(), x.end(), 0.0);
     int stage_iterations = 0;
     constexpr int kRampSteps = 8;
     for (int k = 1; k <= kRampSteps; ++k) {
@@ -370,28 +424,35 @@ OperatingPoint solve_newton(const Netlist& netlist, const DcOptions& options,
       }
       // `scaled` shares the topology (only source values change), so the
       // workspace pattern and symbolic analysis stay valid.
-      op = run_newton(scaled, stage, extra, x, ws);
-      stage_iterations += op.iterations;
+      stage_iterations += run_newton(scaled, stage, extra, ws).iterations;
     }
     // Polish on the original netlist (bit-identical sources).
-    op = run_newton(netlist, options, extra, x, ws);
-    stage_iterations += op.iterations;
-    record(RecoveryStage::kSourceStepping, op, stage_iterations);
-    if (op.converged) return finish(op);
+    run = run_newton(netlist, options, extra, ws);
+    stage_iterations += run.iterations;
+    record(RecoveryStage::kSourceStepping, run, stage_iterations);
+    if (run.converged) return finish(run);
   }
 
   // Rung 3 — tightened damping: a tiny step limit with a generous
   // iteration budget.  Slow but essentially monotone for incrementally
   // passive device stacks; the rung of last resort.
-  {
-    DcOptions tight = options;
-    tight.step_limit = std::max(options.step_limit / 16.0, 0.01);
-    tight.max_iterations = std::max(options.max_iterations * 10, 2000);
-    warm_init(x);
-    op = run_newton(netlist, tight, extra, x, ws);
-    record(RecoveryStage::kTightenedDamping, op, op.iterations);
-  }
-  return finish(op);
+  DcOptions tight = options;
+  tight.step_limit = std::max(options.step_limit / 16.0, 0.01);
+  tight.max_iterations = std::max(options.max_iterations * 10, 2000);
+  warm_init();
+  run = run_newton(netlist, tight, extra, ws);
+  record(RecoveryStage::kTightenedDamping, run, run.iterations);
+  finish(run);
+}
+
+OperatingPoint solve_newton(const Netlist& netlist, const DcOptions& options,
+                            const ExtraStamp& extra,
+                            const OperatingPoint* warm_start,
+                            std::shared_ptr<const MnaStructure> structure) {
+  OperatingPoint op;
+  solve_newton(netlist, options, extra, warm_start, std::move(structure),
+               &op);
+  return op;
 }
 
 }  // namespace detail
@@ -400,6 +461,13 @@ DcSolver::DcSolver(const Netlist& netlist, DcOptions options)
     : netlist_(netlist), options_(std::move(options)) {}
 
 OperatingPoint DcSolver::solve(const OperatingPoint* warm_start) const {
+  OperatingPoint op;
+  solve(warm_start, &op);
+  return op;
+}
+
+void DcSolver::solve(const OperatingPoint* warm_start,
+                     OperatingPoint* out) const {
   std::shared_ptr<const MnaStructure> structure;
   if (!options_.use_dense_solver) {
     std::lock_guard<std::mutex> lock(structure_mu_);
@@ -417,8 +485,8 @@ OperatingPoint DcSolver::solve(const OperatingPoint* warm_start) const {
     }
     structure = structure_;
   }
-  return detail::solve_newton(netlist_, options_, nullptr, warm_start,
-                              std::move(structure));
+  detail::solve_newton(netlist_, options_, nullptr, warm_start,
+                       std::move(structure), out);
 }
 
 }  // namespace ppuf::circuit

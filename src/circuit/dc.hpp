@@ -82,6 +82,10 @@ class DcSolver {
   /// the same netlist) accelerates sweeps; pass nullptr for a cold start.
   OperatingPoint solve(const OperatingPoint* warm_start = nullptr) const;
 
+  /// The same solve written into `out`, reusing its buffers (sweeps call
+  /// this once per point).  `warm_start` may alias `out`.
+  void solve(const OperatingPoint* warm_start, OperatingPoint* out) const;
+
   const DcOptions& options() const { return options_; }
 
  private:

@@ -158,7 +158,6 @@ std::shared_ptr<const MnaStructure> build_mna_structure(
   structure->pattern = numeric::SparseMatrix::from_triplets(
       dim, dim, recorder.triplets(), &structure->slots);
   structure->pattern.zero_values();
-  structure->pattern_hash = structure->pattern.pattern_hash();
   return structure;
 }
 

@@ -124,7 +124,6 @@ struct MnaStructure {
   numeric::SparseMatrix pattern;
   /// Emission-order -> value-slot map for SlotReplaySink.
   std::vector<std::size_t> slots;
-  std::uint64_t pattern_hash = 0;
 
   /// Sparse LU symbolic analysis, published by whichever solve first
   /// factorises this pattern.  Guarded: structures are shared across

@@ -13,6 +13,17 @@ NodeId Netlist::add_node(std::string name) {
   return id;
 }
 
+void Netlist::clear() {
+  node_names_.resize(1);
+  resistors_.clear();
+  capacitors_.clear();
+  diodes_.clear();
+  mosfets_.clear();
+  vsources_.clear();
+  isources_.clear();
+  nonlinears_.clear();
+}
+
 void Netlist::check_node(NodeId n) const {
   if (n >= node_names_.size())
     throw std::out_of_range("Netlist: node out of range");

@@ -31,6 +31,11 @@ class Netlist {
   /// Creates a new node; name is for diagnostics only.
   NodeId add_node(std::string name = "");
 
+  /// Remove every device and every node but ground, keeping the buffers,
+  /// so a same-topology netlist can be rebuilt in place without
+  /// allocating.
+  void clear();
+
   std::size_t node_count() const { return node_names_.size(); }
   const std::string& node_name(NodeId n) const { return node_names_[n]; }
 

@@ -49,6 +49,7 @@ SparseMatrix SparseMatrix::from_triplets(
       (*slot_of_triplet)[idx] = m.values_.size() - 1;
   }
   for (std::size_t r = 0; r < rows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
+  m.pattern_hash_ = hash_pattern(rows, cols, m.row_ptr_, m.col_idx_);
   return m;
 }
 
@@ -68,6 +69,7 @@ SparseMatrix SparseMatrix::from_dense(const Matrix& dense,
     }
     m.row_ptr_[r + 1] = m.values_.size();
   }
+  m.pattern_hash_ = hash_pattern(m.rows_, m.cols_, m.row_ptr_, m.col_idx_);
   return m;
 }
 
@@ -100,16 +102,18 @@ bool SparseMatrix::same_pattern(const SparseMatrix& other) const {
          row_ptr_ == other.row_ptr_ && col_idx_ == other.col_idx_;
 }
 
-std::uint64_t SparseMatrix::pattern_hash() const {
+std::uint64_t SparseMatrix::hash_pattern(
+    std::size_t rows, std::size_t cols, std::span<const std::size_t> row_ptr,
+    std::span<const std::size_t> col_idx) {
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
   auto mix = [&h](std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ULL;
   };
-  mix(rows_);
-  mix(cols_);
-  for (const std::size_t p : row_ptr_) mix(p);
-  for (const std::size_t c : col_idx_) mix(c);
+  mix(rows);
+  mix(cols);
+  for (const std::size_t p : row_ptr) mix(p);
+  for (const std::size_t c : col_idx) mix(c);
   return h;
 }
 

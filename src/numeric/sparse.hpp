@@ -71,8 +71,10 @@ class SparseMatrix {
   bool same_pattern(const SparseMatrix& other) const;
 
   /// FNV-1a hash over dimensions and pattern — cheap cache key for
-  /// symbolic-analysis reuse across same-topology matrices.
-  std::uint64_t pattern_hash() const;
+  /// symbolic-analysis reuse across same-topology matrices.  Computed once
+  /// when the pattern is built (the pattern is immutable afterwards), so
+  /// reading it is O(1).
+  std::uint64_t pattern_hash() const { return pattern_hash_; }
 
   /// y = A x; x.size() must equal cols().
   Vector multiply(std::span<const double> x) const;
@@ -83,6 +85,11 @@ class SparseMatrix {
   std::vector<std::size_t> row_ptr_;  // rows_ + 1
   std::vector<std::size_t> col_idx_;  // nnz
   std::vector<double> values_;        // nnz
+  std::uint64_t pattern_hash_ = hash_pattern(0, 0, {}, {});
+
+  static std::uint64_t hash_pattern(std::size_t rows, std::size_t cols,
+                                    std::span<const std::size_t> row_ptr,
+                                    std::span<const std::size_t> col_idx);
 };
 
 }  // namespace ppuf::numeric

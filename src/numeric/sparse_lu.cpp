@@ -27,8 +27,8 @@ constexpr double kPivotDegradation = 1e-10;
 /// block is small; without it, eliminating a hub first fills in its whole
 /// neighbourhood and the factor degenerates toward dense.
 std::vector<std::size_t> min_degree_order(
-    std::size_t n, const std::vector<std::size_t>& row_ptr,
-    const std::vector<std::size_t>& col_idx) {
+    std::size_t n, std::span<const std::size_t> row_ptr,
+    std::span<const std::size_t> col_idx) {
   std::vector<std::vector<std::size_t>> adj(n);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
@@ -93,8 +93,7 @@ util::Status SparseLu::factorize(const SparseMatrix& a) {
 
   auto sym = std::make_shared<Symbolic>();
   sym->n = n;
-  sym->a_row_ptr.assign(a.row_ptr().begin(), a.row_ptr().end());
-  sym->a_col_idx.assign(a.col_idx().begin(), a.col_idx().end());
+  sym->a_nnz = a.nnz();
   sym->a_pattern_hash = a.pattern_hash();
 
   // Column-major traversal of the CSR input (counting sort by column).
@@ -118,7 +117,7 @@ util::Status SparseLu::factorize(const SparseMatrix& a) {
 
   sym->pinv.assign(n, kNone);
   sym->perm.assign(n, kNone);
-  sym->colperm = min_degree_order(n, sym->a_row_ptr, sym->a_col_idx);
+  sym->colperm = min_degree_order(n, a.row_ptr(), a.col_idx());
 
   // Working factors: per-column entry lists.  L keeps ORIGINAL row ids
   // until the permutation is complete; U keeps pivot positions (ascending
@@ -240,17 +239,19 @@ util::Status SparseLu::refactor_with(const SparseMatrix& a,
                                      const Symbolic& sym,
                                      std::vector<double>* lval,
                                      std::vector<double>* uval) const {
+  // O(1) pattern check: the pattern hash is fixed when a matrix is built,
+  // so a foreign pattern is rejected without walking it.
   if (a.rows() != sym.n || a.cols() != sym.n ||
-      a.pattern_hash() != sym.a_pattern_hash ||
-      !std::equal(a.row_ptr().begin(), a.row_ptr().end(),
-                  sym.a_row_ptr.begin(), sym.a_row_ptr.end()) ||
-      !std::equal(a.col_idx().begin(), a.col_idx().end(),
-                  sym.a_col_idx.begin(), sym.a_col_idx.end())) {
+      a.nnz() != sym.a_nnz ||
+      a.pattern_hash() != sym.a_pattern_hash) {
     return util::Status::invalid_argument(
         "SparseLu::refactorize: pattern mismatch");
   }
-  lval->assign(sym.lrow_idx.size(), 0.0);
-  uval->assign(sym.urow_idx.size(), 0.0);
+  // Every factor entry is written before it is read, so the value arrays
+  // only need the right size; the accumulator must start at zero (solve()
+  // leaves it dirty).
+  lval->resize(sym.lrow_idx.size());
+  uval->resize(sym.urow_idx.size());
   work_.assign(sym.n, 0.0);
   std::vector<double>& x = work_;  // pivot-space accumulator
 
@@ -325,13 +326,27 @@ util::Status SparseLu::refactorize(const SparseMatrix& a,
 }
 
 util::Status SparseLu::solve(std::span<const double> b, Vector* x) const {
+  if (x == nullptr)
+    return util::Status::invalid_argument("SparseLu::solve: null output");
+  x->resize(size());
+  return solve_into(b, *x);
+}
+
+util::Status SparseLu::solve_in_place(std::span<double> bx) const {
+  return solve_into(bx, bx);
+}
+
+util::Status SparseLu::solve_into(std::span<const double> b,
+                                  std::span<double> x) const {
   if (!factored_ || !sym_)
     return util::Status::invalid_argument("SparseLu::solve: not factored");
-  if (b.size() != sym_->n || x == nullptr)
+  if (b.size() != sym_->n || x.size() != sym_->n)
     return util::Status::invalid_argument("SparseLu::solve: size mismatch");
   const std::size_t n = sym_->n;
   // Row permutation applies to the right-hand side; the solve runs in
   // elimination (step) space, then scatters through the column order.
+  // `b` is fully read into the scratch before `x` is written, so the two
+  // may alias (solve_in_place).
   work_.resize(n);
   Vector& y = work_;
   for (std::size_t j = 0; j < n; ++j) y[j] = b[sym_->perm[j]];
@@ -353,16 +368,7 @@ util::Status SparseLu::solve(std::span<const double> b, Vector* x) const {
       y[sym_->urow_idx[p]] -= uval_[p] * xj;
   }
   // Step j solved for original unknown colperm[j].
-  x->resize(n);
-  for (std::size_t j = 0; j < n; ++j) (*x)[sym_->colperm[j]] = y[j];
-  return util::Status::ok();
-}
-
-util::Status SparseLu::solve_in_place(std::span<double> bx) const {
-  Vector out;
-  const util::Status st = solve({bx.data(), bx.size()}, &out);
-  if (!st.is_ok()) return st;
-  std::copy(out.begin(), out.end(), bx.begin());
+  for (std::size_t j = 0; j < n; ++j) x[sym_->colperm[j]] = y[j];
   return util::Status::ok();
 }
 

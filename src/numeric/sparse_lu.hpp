@@ -47,9 +47,8 @@ class SparseLu {
   struct Symbolic {
     std::size_t n = 0;
 
-    // Pattern of the analysed matrix (CSR), used to validate reuse.
-    std::vector<std::size_t> a_row_ptr;
-    std::vector<std::size_t> a_col_idx;
+    // Identity of the analysed matrix's pattern, used to validate reuse.
+    std::size_t a_nnz = 0;
     std::uint64_t a_pattern_hash = 0;
 
     // Column-major traversal of A: column j's entries are
@@ -91,7 +90,8 @@ class SparseLu {
   util::Status factorize(const SparseMatrix& a);
 
   /// Numeric-only refactorisation against the held symbolic analysis.
-  /// kInvalidArgument if no symbolic is held or the pattern differs;
+  /// kInvalidArgument if no symbolic is held or the pattern differs (an
+  /// O(1) check of size, nonzero count and pattern hash);
   /// kUnavailable when a fixed pivot degrades (retry with factorize()).
   util::Status refactorize(const SparseMatrix& a);
 
@@ -106,6 +106,12 @@ class SparseLu {
   /// True when the instance holds a usable factorisation.
   bool ok() const { return factored_; }
 
+  /// Drop the factorisation but keep every buffer, so a long-lived
+  /// instance can start the next system exactly as a fresh one would
+  /// (refactorize() against a given analysis, or factorize()) without
+  /// reallocating.
+  void invalidate() { factored_ = false; }
+
   std::size_t size() const { return sym_ ? sym_->n : 0; }
   std::size_t factor_nnz() const { return sym_ ? sym_->factor_nnz() : 0; }
 
@@ -113,9 +119,13 @@ class SparseLu {
   util::Status solve(std::span<const double> b, Vector* x) const;
 
   /// Destructive solve: overwrites `bx` with the solution.  Same statuses.
+  /// Allocation-free once the instance has solved a system of this size.
   util::Status solve_in_place(std::span<double> bx) const;
 
  private:
+  util::Status solve_into(std::span<const double> b,
+                          std::span<double> x) const;
+
   util::Status refactor_with(const SparseMatrix& a, const Symbolic& sym,
                              std::vector<double>* lval,
                              std::vector<double>* uval) const;

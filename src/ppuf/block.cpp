@@ -121,14 +121,27 @@ void append_block(Netlist& nl, const PpufParams& params,
   nl.add_diode(b2, bottom, varied_diode(params, variation.dis_rel[1], env));
 }
 
+namespace {
+
+/// Writes the Fig. 2(d) block and its sweep source into `sc`, reusing the
+/// netlist's buffers.
+void assign_block(SweepCircuit& sc, const PpufParams& params,
+                  const circuit::BlockVariation& variation, int input_bit,
+                  const Environment& env) {
+  Netlist& nl = sc.netlist;
+  nl.clear();
+  const NodeId top = nl.add_node("top");
+  append_block(nl, params, variation, input_bit, top, kGround, env);
+  sc.sweep_source = nl.add_voltage_source(top, kGround, 0.0);
+}
+
+}  // namespace
+
 SweepCircuit build_block(const PpufParams& params,
                          const circuit::BlockVariation& variation,
                          int input_bit, const Environment& env) {
   SweepCircuit sc;
-  Netlist& nl = sc.netlist;
-  const NodeId top = nl.add_node("top");
-  append_block(nl, params, variation, input_bit, top, kGround, env);
-  sc.sweep_source = nl.add_voltage_source(top, kGround, 0.0);
+  assign_block(sc, params, variation, input_bit, env);
   return sc;
 }
 
@@ -175,55 +188,115 @@ BlockCurve characterize_block(
     const PpufParams& params, const circuit::BlockVariation& variation,
     int input_bit, const Environment& env,
     std::shared_ptr<circuit::SymbolicCache> symbolic_cache) {
-  SweepCircuit sc = build_block(params, variation, input_bit, env);
-  const std::vector<double> grid = characterization_grid(params);
-  std::vector<double> currents(grid.size(), 0.0);
+  return BlockCharacterizer(params, env, std::move(symbolic_cache))
+      .curve(variation, input_bit);
+}
 
+namespace {
+
+circuit::DcOptions sweep_options(
+    const Environment& env,
+    std::shared_ptr<circuit::SymbolicCache> symbolic_cache) {
+  circuit::DcOptions opts;
+  opts.temperature_c = env.temperature_c;
+  opts.symbolic_cache = std::move(symbolic_cache);
+  return opts;
+}
+
+}  // namespace
+
+BlockCharacterizer::BlockCharacterizer(
+    const PpufParams& params, const Environment& env,
+    std::shared_ptr<circuit::SymbolicCache> symbolic_cache)
+    : params_(params),
+      env_(env),
+      grid_(characterization_grid(params)),
+      zero_index_(static_cast<std::size_t>(
+          std::find(grid_.begin(), grid_.end(), 0.0) - grid_.begin())),
+      currents_(grid_.size(), 0.0),
+      solver_(circuit_.netlist,
+              sweep_options(env, std::move(symbolic_cache))) {
+  const auto knot = std::find(grid_.begin() + zero_index_, grid_.end(),
+                              kCapacityReferenceVoltage * env.vdd_scale);
+  if (knot != grid_.end())
+    reference_index_ = static_cast<std::size_t>(knot - grid_.begin());
+}
+
+void BlockCharacterizer::load(const circuit::BlockVariation& variation,
+                              int input_bit) {
+  assign_block(circuit_, params_, variation, input_bit, env_);
+}
+
+void BlockCharacterizer::sweep(std::size_t last, bool negative) {
   // Sweep outward from 0 V with warm starts: the cold solve at 0 V is easy
   // (everything off, zero is nearly the answer), and every other point is
   // a small continuation step.  Starting cold at the most-negative point
   // instead forces the gmin-stepping ladder on every block.
-  circuit::DcOptions opts;
-  opts.temperature_c = env.temperature_c;
-  opts.symbolic_cache = std::move(symbolic_cache);
-  circuit::DcSolver solver(sc.netlist, opts);
-  const std::size_t zero_index = static_cast<std::size_t>(
-      std::find(grid.begin(), grid.end(), 0.0) - grid.begin());
-
-  auto run = [&](std::size_t index, const circuit::OperatingPoint* warm) {
-    const double target = grid[index];
-    sc.netlist.set_voltage(sc.sweep_source, target);
+  auto run = [&](std::size_t index, const circuit::OperatingPoint* warm,
+                 circuit::OperatingPoint* out) {
+    const double target = grid_[index];
+    circuit_.netlist.set_voltage(circuit_.sweep_source, target);
     // The solver's built-in recovery ladder (gmin stepping -> source
     // stepping -> tightened damping) replaces the ad-hoc continuation this
     // call site used to carry; the rare Monte Carlo corner the plain solve
     // cannot reach in one hop now escalates inside DcSolver and reports
     // which rung saved it.
-    circuit::OperatingPoint op = solver.solve(warm);
-    if (!op.converged)
+    solver_.solve(warm, out);
+    if (!out->converged)
       throw circuit::ConvergenceError(
           "characterize_block: DC solve failed at V=" +
               std::to_string(target),
-          op.diagnostics);
-    currents[index] = op.source_current(sc.sweep_source);
-    return op;
+          out->diagnostics);
+    currents_[index] = out->source_current(circuit_.sweep_source);
   };
 
-  circuit::OperatingPoint at_zero = run(zero_index, nullptr);
-  circuit::OperatingPoint prev = at_zero;
-  for (std::size_t i = zero_index + 1; i < grid.size(); ++i)
-    prev = run(i, &prev);
-  prev = at_zero;
-  for (std::size_t i = zero_index; i-- > 0;) prev = run(i, &prev);
+  run(zero_index_, nullptr, &at_zero_);
+  const circuit::OperatingPoint* prev = &at_zero_;
+  for (std::size_t i = zero_index_ + 1; i <= last; ++i) {
+    run(i, prev, &points_[i % 2]);
+    prev = &points_[i % 2];
+  }
+  if (!negative) return;
+  prev = &at_zero_;
+  for (std::size_t i = zero_index_; i-- > 0;) {
+    run(i, prev, &points_[i % 2]);
+    prev = &points_[i % 2];
+  }
+}
+
+BlockCurve BlockCharacterizer::curve(const circuit::BlockVariation& variation,
+                                     int input_bit) {
+  load(variation, input_bit);
+  sweep(grid_.size() - 1, /*negative=*/true);
 
   // Numerical noise can leave microscopic non-monotonicity (< fA) between
   // Newton solutions; clamp it so the compact model stays monotone.
-  for (std::size_t i = 1; i < currents.size(); ++i)
-    currents[i] = std::max(currents[i], currents[i - 1]);
+  for (std::size_t i = 1; i < currents_.size(); ++i)
+    currents_[i] = std::max(currents_[i], currents_[i - 1]);
 
   BlockCurve curve;
-  curve.iv = MonotoneCurve(grid, currents);
-  curve.isat = curve.iv(kCapacityReferenceVoltage * env.vdd_scale);
+  curve.iv = MonotoneCurve(grid_, currents_);
+  curve.isat = curve.iv(kCapacityReferenceVoltage * env_.vdd_scale);
   return curve;
+}
+
+double BlockCharacterizer::capacity(const circuit::BlockVariation& variation,
+                                    int input_bit) {
+  if (reference_index_ == kNoKnot)
+    return curve(variation, input_bit).isat;
+  load(variation, input_bit);
+  sweep(reference_index_, /*negative=*/false);
+
+  // curve() would return, at this knot, exactly the knot's sample (a PCHIP
+  // evaluated at a knot is that knot's y) after the running-max clamp over
+  // every point below it.  The points below 0 V are not swept: they carry
+  // reverse (negative) current, so they cannot raise a positive maximum.
+  // A block that never conducts on the prefix takes the full sweep.
+  double isat = currents_[zero_index_];
+  for (std::size_t i = zero_index_ + 1; i <= reference_index_; ++i)
+    isat = std::max(currents_[i], isat);
+  if (!(isat > 0.0)) return curve(variation, input_bit).isat;
+  return isat;
 }
 
 }  // namespace ppuf

@@ -16,6 +16,7 @@
 
 #include <memory>
 
+#include "circuit/dc.hpp"
 #include "circuit/env.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/variation.hpp"
@@ -81,6 +82,53 @@ BlockCurve characterize_block(
     const PpufParams& params, const circuit::BlockVariation& variation,
     int input_bit, const circuit::Environment& env,
     std::shared_ptr<circuit::SymbolicCache> symbolic_cache = nullptr);
+
+/// Characterises many blocks of one design at one environment, reusing the
+/// grid, the sweep netlist, the DC solver and its operating points from
+/// block to block (a device has 4 n (n-1) blocks; characterize_block is
+/// this class used once).  Not thread-safe: one instance per thread.
+class BlockCharacterizer {
+ public:
+  BlockCharacterizer(const PpufParams& params,
+                     const circuit::Environment& env,
+                     std::shared_ptr<circuit::SymbolicCache> symbolic_cache =
+                         nullptr);
+  // The solver holds a reference to this object's own netlist.
+  BlockCharacterizer(const BlockCharacterizer&) = delete;
+  BlockCharacterizer& operator=(const BlockCharacterizer&) = delete;
+
+  /// The full compact model: the whole characterisation grid, 0 V upward
+  /// then downward, warm-started point to point.
+  BlockCurve curve(const circuit::BlockVariation& variation, int input_bit);
+
+  /// Only the saturation current, bit-identical to curve(...).isat.  When
+  /// the reference voltage kCapacityReferenceVoltage * vdd_scale is a grid
+  /// knot (it is at nominal supply) this sweeps just 0 V up to that knot
+  /// and builds no curve; otherwise it runs curve().
+  double capacity(const circuit::BlockVariation& variation, int input_bit);
+
+ private:
+  /// Rebuild the sweep netlist for one block (same topology every time).
+  void load(const circuit::BlockVariation& variation, int input_bit);
+  /// Solve grid points zero_index_..last upward (warm-started from 0 V)
+  /// and, when `negative`, the points below 0 V downward, into currents_.
+  void sweep(std::size_t last, bool negative);
+
+  static constexpr std::size_t kNoKnot = static_cast<std::size_t>(-1);
+
+  PpufParams params_;
+  circuit::Environment env_;
+  std::vector<double> grid_;
+  std::size_t zero_index_;
+  /// Grid index of the capacity reference voltage; kNoKnot when it is not
+  /// a knot at or above 0 V.
+  std::size_t reference_index_ = kNoKnot;
+  std::vector<double> currents_;
+  SweepCircuit circuit_;
+  circuit::DcSolver solver_;  // bound to circuit_.netlist
+  circuit::OperatingPoint at_zero_;
+  circuit::OperatingPoint points_[2];  // ping-pong: warm start, solution
+};
 
 /// I-V samples of a sweep circuit at the given voltages (exposed for the
 /// Fig. 3 bench and tests).

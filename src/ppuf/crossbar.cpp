@@ -41,13 +41,10 @@ void CrossbarNetwork::prepare(const circuit::Environment& env) {
     symbolic_cache_ = std::make_shared<circuit::SymbolicCache>();
   const std::size_t edges = variation_.size();
   curves_.assign(edges, {});
-  for (std::size_t e = 0; e < edges; ++e) {
-    for (int bit = 0; bit < 2; ++bit) {
-      curves_[e][bit] =
-          characterize_block(params_, variation_[e], bit, env,
-                             symbolic_cache_);
-    }
-  }
+  BlockCharacterizer characterizer(params_, env, symbolic_cache_);
+  for (std::size_t e = 0; e < edges; ++e)
+    for (int bit = 0; bit < 2; ++bit)
+      curves_[e][bit] = characterizer.curve(variation_[e], bit);
   if (!solver_) {
     solver_ = std::make_unique<NetworkSolver>(
         layout_.node_count(),
@@ -55,6 +52,23 @@ void CrossbarNetwork::prepare(const circuit::Environment& env) {
   }
   cached_env_ = env;
   prepared_ = true;
+}
+
+std::vector<std::array<double, 2>> CrossbarNetwork::capacities(
+    const circuit::Environment& env) {
+  std::vector<std::array<double, 2>> caps(variation_.size());
+  if (prepared_ && same_env(env, cached_env_)) {
+    for (std::size_t e = 0; e < caps.size(); ++e)
+      for (int bit = 0; bit < 2; ++bit) caps[e][bit] = curves_[e][bit].isat;
+    return caps;
+  }
+  if (symbolic_cache_ == nullptr)
+    symbolic_cache_ = std::make_shared<circuit::SymbolicCache>();
+  BlockCharacterizer characterizer(params_, env, symbolic_cache_);
+  for (std::size_t e = 0; e < caps.size(); ++e)
+    for (int bit = 0; bit < 2; ++bit)
+      caps[e][bit] = characterizer.capacity(variation_[e], bit);
+  return caps;
 }
 
 const BlockCurve& CrossbarNetwork::curve(graph::EdgeId e, int bit) const {

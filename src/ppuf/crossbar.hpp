@@ -67,6 +67,14 @@ class CrossbarNetwork {
   /// Compact model of edge e under input bit `bit`; prepare() first.
   const BlockCurve& curve(graph::EdgeId e, int bit) const;
 
+  /// Saturation current of every edge under each input bit at `env`
+  /// (capacities[e][bit]), bit-identical to curve(e, bit).isat.  Read off
+  /// the cached curves when prepared for `env`; otherwise measured with
+  /// BlockCharacterizer::capacity, which caches nothing (no curves are
+  /// built, so a later execute() still characterises).
+  std::vector<std::array<double, 2>> capacities(
+      const circuit::Environment& env);
+
   struct Execution {
     double source_current = 0.0;  ///< steady-state current into the source
     int newton_iterations = 0;

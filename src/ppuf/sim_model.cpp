@@ -32,18 +32,8 @@ SimulationModel::SimulationModel(MaxFlowPpuf& instance,
                                  const circuit::Environment& env)
     : topology_(CrossbarTopology::of(instance.layout())),
       comparator_offset_(instance.comparator_offset()) {
-  instance.prepare(env);
-  const std::size_t edges = layout().edge_count();
-  for (int net = 0; net < 2; ++net) {
-    const CrossbarNetwork& network =
-        net == 0 ? instance.network_a() : instance.network_b();
-    auto& caps = capacities_[net];
-    caps.resize(edges);
-    for (graph::EdgeId e = 0; e < edges; ++e) {
-      caps[e][0] = network.curve(e, 0).isat;
-      caps[e][1] = network.curve(e, 1).isat;
-    }
-  }
+  capacities_[0] = instance.network_a().capacities(env);
+  capacities_[1] = instance.network_b().capacities(env);
 }
 
 SimulationModel SimulationModel::restore(

@@ -36,8 +36,11 @@ namespace ppuf {
 class SimulationModel {
  public:
   /// Extracts the public model of `instance` at the given characterisation
-  /// environment (typically nominal).  The extraction characterises every
-  /// block — the "enrollment-free" public measurement the paper describes.
+  /// environment (typically nominal).  The extraction measures every
+  /// block's saturation current — the "enrollment-free" public measurement
+  /// the paper describes — and nothing more: an unprepared instance gets a
+  /// capacity-only sweep and is left unprepared (CrossbarNetwork::
+  /// capacities).
   explicit SimulationModel(MaxFlowPpuf& instance,
                            const circuit::Environment& env =
                                circuit::Environment::nominal());
