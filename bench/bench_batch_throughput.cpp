@@ -22,6 +22,13 @@
 // give the same flows, and records the star-cut certificate hit ratio
 // from the ppuf.predict.certified / .fallback counters.
 //
+// A VERIFY leg at n = 64 times maxflow::verify_flow per network on
+// chip-proved reports and on certified witnesses, next to an in-bench copy
+// of the two-pass verifier it replaced, and fails unless both give the same
+// verdicts, reasons and value bits.  It records the share of networks the
+// closed terminal star settles without a BFS, and the cost of encoding one
+// VERIFY request frame.  Recorded as "verify_n64" in the JSON.
+//
 // A final leg measures the cost of the obs metrics layer itself: the same
 // single-thread uncached batch with the registry enabled versus disabled
 // (median of 3 runs each).  The budget is < 3% throughput change; the
@@ -48,10 +55,13 @@
 // which the JSON records via "hardware_concurrency".
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <span>
+#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -63,11 +73,15 @@
 #include "bench_common.hpp"
 #include "circuit/dc.hpp"
 #include "circuit/mna.hpp"
+#include "graph/bfs.hpp"
+#include "maxflow/verify.hpp"
+#include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "ppuf/device_netlist.hpp"
 #include "ppuf/ppuf.hpp"
 #include "ppuf/response_cache.hpp"
 #include "ppuf/sim_model.hpp"
+#include "protocol/authentication.hpp"
 #include "puf/arbiter.hpp"
 #include "registry/device_registry.hpp"
 #include "registry/record.hpp"
@@ -107,6 +121,148 @@ struct EnrollLeg {
   /// Solves that needed a recovery rung, by sweep voltage.
   std::map<double, std::size_t> rungs_by_point;
 };
+
+/// VERIFY leg: per-network verify_flow cost and star-closure share on two
+/// kinds of witness, plus the request encode.
+struct VerifyLeg {
+  double chip_us = 0.0;                 ///< verify_flow, chip-proved flows
+  double certified_us = 0.0;            ///< verify_flow, certified flows
+  double reference_chip_us = 0.0;       ///< two-pass reference, chip flows
+  double reference_certified_us = 0.0;  ///< two-pass reference, certified
+  double chip_star_closed = 0.0;        ///< share settled without a BFS
+  double certified_star_closed = 0.0;
+  double encode_request_us = 0.0;       ///< one VERIFY request frame
+  std::size_t mismatches = 0;           ///< verdicts differing from reference
+};
+
+/// The two-pass verifier verify_flow replaced (capacity pass, conservation
+/// pass, then a std::function-driven BFS), kept as the leg's reference.
+maxflow::VerifyResult reference_verify_flow(const graph::Digraph& g,
+                                            graph::VertexId source,
+                                            graph::VertexId sink,
+                                            std::span<const double> flow,
+                                            double tolerance) {
+  maxflow::VerifyResult result;
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    if (flow[e] < -tolerance || flow[e] > g.edge(e).capacity + tolerance) {
+      std::ostringstream os;
+      os << "capacity violated on edge " << e << ": f=" << flow[e]
+         << " c=" << g.edge(e).capacity;
+      result.reason = os.str();
+      return result;
+    }
+  }
+  std::vector<double> net(g.vertex_count(), 0.0);
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    net[g.edge(e).from] -= flow[e];
+    net[g.edge(e).to] += flow[e];
+  }
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
+    if (v == source || v == sink) continue;
+    const double slack =
+        tolerance *
+        static_cast<double>(g.in_edges(v).size() + g.out_degree(v));
+    if (std::abs(net[v]) > slack) {
+      std::ostringstream os;
+      os << "conservation violated at vertex " << v << ": net=" << net[v];
+      result.reason = os.str();
+      return result;
+    }
+  }
+  result.feasible = true;
+  result.value = -net[source];
+  const auto dist = graph::bfs_distances(
+      g.vertex_count(), source,
+      [&](graph::VertexId v, std::vector<graph::VertexId>& out) {
+        for (graph::EdgeId e : g.out_edges(v))
+          if (g.edge(e).capacity - flow[e] > tolerance)
+            out.push_back(g.edge(e).to);
+        for (graph::EdgeId e : g.in_edges(v))
+          if (flow[e] > tolerance) out.push_back(g.edge(e).from);
+      });
+  if (dist[sink] != graph::kUnreachable) {
+    result.reason = "augmenting path remains (flow not maximum)";
+    return result;
+  }
+  result.optimal = true;
+  return result;
+}
+
+VerifyLeg measure_verify(MaxFlowPpuf& chip, const SimulationModel& model,
+                         const std::vector<Challenge>& batch) {
+  struct Network {
+    graph::Digraph g;
+    graph::VertexId s = 0, t = 0;
+    const std::vector<double>* flow = nullptr;
+  };
+  const double tolerance = 0.1 * model.mean_capacity();  // serving default
+  const std::size_t chip_reports = std::min(batch.size(), bench::scaled(8, 2));
+  std::vector<protocol::ProverReport> chip_proved, certified;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (i < chip_reports)
+      chip_proved.push_back(protocol::prove_with_ppuf(chip, batch[i], 1e-6));
+    certified.push_back(protocol::prove_by_certificate(model, batch[i]));
+  }
+  auto networks_of = [&](const std::vector<protocol::ProverReport>& reports) {
+    std::vector<Network> out;
+    for (std::size_t i = 0; i < reports.size(); ++i)
+      for (int net = 0; net < 2; ++net)
+        out.push_back({model.build_graph(net, batch[i]), batch[i].source,
+                       batch[i].sink,
+                       net == 0 ? &reports[i].edge_flow_a
+                                : &reports[i].edge_flow_b});
+    return out;
+  };
+
+  VerifyLeg leg;
+  auto measure = [&](const std::vector<Network>& networks, double* us,
+                     double* reference_us, double* closed_share) {
+    std::size_t closed = 0;
+    for (const Network& n : networks) {
+      const maxflow::VerifyResult got =
+          maxflow::verify_flow(n.g, n.s, n.t, *n.flow, tolerance);
+      const maxflow::VerifyResult want =
+          reference_verify_flow(n.g, n.s, n.t, *n.flow, tolerance);
+      if (got.feasible != want.feasible || got.optimal != want.optimal ||
+          got.reason != want.reason ||
+          std::bit_cast<std::uint64_t>(got.value) !=
+              std::bit_cast<std::uint64_t>(want.value))
+        ++leg.mismatches;
+      if (got.star_closed) ++closed;
+    }
+    const double count = static_cast<double>(networks.size());
+    *closed_share = static_cast<double>(closed) / count;
+    const auto kernel = [&] {
+      for (const Network& n : networks)
+        maxflow::verify_flow(n.g, n.s, n.t, *n.flow, tolerance);
+    };
+    const auto reference = [&] {
+      for (const Network& n : networks)
+        reference_verify_flow(n.g, n.s, n.t, *n.flow, tolerance);
+    };
+    *us = 1e6 / count * bench::time_seconds_median(kernel, 5);
+    *reference_us = 1e6 / count * bench::time_seconds_median(reference, 5);
+  };
+  measure(networks_of(chip_proved), &leg.chip_us, &leg.reference_chip_us,
+          &leg.chip_star_closed);
+  measure(networks_of(certified), &leg.certified_us,
+          &leg.reference_certified_us, &leg.certified_star_closed);
+
+  const std::size_t frames = 50 * chip_proved.size();
+  const auto encode = [&] {
+    for (std::size_t k = 0; k < frames; ++k) {
+      const std::size_t i = k % chip_proved.size();
+      net::encode_frame(net::MessageType::kVerifyRequest, k, 1, 0,
+                        [&](net::Writer& w) {
+                          net::encode_verify_request(w, batch[i],
+                                                     chip_proved[i]);
+                        });
+    }
+  };
+  leg.encode_request_us = 1e6 / static_cast<double>(frames) *
+                          bench::time_seconds_median(encode, 3);
+  return leg;
+}
 
 template <typename F>
 double time_ms(F&& f) {
@@ -429,6 +585,27 @@ int main(int argc, char** argv) {
             << "x); certificate hit ratio "
             << util::Table::num(certificate_hit_ratio, 4) << "\n";
 
+  // VERIFY leg at n = 64, on the PREDICT leg's device and challenges.
+  std::cout << "\nVERIFY at n=" << kPredictNodes
+            << ": verify_flow on chip-proved and certified witnesses...\n";
+  const VerifyLeg verify = measure_verify(p64_puf, p64, p64_batch);
+  util::Table verify_table(
+      {"witness", "verify_flow us/net", "two-pass ref us/net", "star closed"});
+  verify_table.add_row({"chip-proved", util::Table::num(verify.chip_us, 4),
+                        util::Table::num(verify.reference_chip_us, 4),
+                        util::Table::num(verify.chip_star_closed, 4)});
+  verify_table.add_row({"certified", util::Table::num(verify.certified_us, 4),
+                        util::Table::num(verify.reference_certified_us, 4),
+                        util::Table::num(verify.certified_star_closed, 4)});
+  verify_table.print(std::cout);
+  std::cout << "VERIFY request frame encode: "
+            << util::Table::num(verify.encode_request_us, 4) << " us\n";
+  if (verify.mismatches != 0) {
+    std::cerr << "FAIL: verify_flow differs from the two-pass reference on "
+              << verify.mismatches << " networks\n";
+    return 1;
+  }
+
   // Sparse-vs-dense linear-core leg: a paper-scale flattened device.  The
   // production path solves compact models, so this leg builds the circuit
   // the compact models abstract — all 56 blocks of an n=8 challenge,
@@ -670,6 +847,16 @@ int main(int argc, char** argv) {
   json << "  \"predict_n64\": {\"items_per_sec\": " << p64_ips
        << ", \"full_solve_items_per_sec\": " << solve_ips
        << ", \"certificate_hit_ratio\": " << certificate_hit_ratio
+       << "},\n";
+  json << "  \"verify_n64\": {\"verify_flow_us_chip\": " << verify.chip_us
+       << ", \"verify_flow_us_certified\": " << verify.certified_us
+       << ", \"reference_verify_flow_us_chip\": " << verify.reference_chip_us
+       << ", \"reference_verify_flow_us_certified\": "
+       << verify.reference_certified_us
+       << ", \"star_closed_ratio_chip\": " << verify.chip_star_closed
+       << ", \"star_closed_ratio_certified\": "
+       << verify.certified_star_closed
+       << ", \"encode_verify_request_us\": " << verify.encode_request_us
        << "},\n";
   json << "  \"mna_dimension\": " << flat.mna_dimension << ",\n";
   json << "  \"sparse_solve_seconds\": " << sparse_seconds << ",\n";

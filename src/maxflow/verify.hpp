@@ -2,6 +2,13 @@
 // checking a claimed max-flow needs only feasibility checks plus one BFS in
 // the residual graph (O(n^2), parallelizable to O(n^2/p)), while computing
 // the flow from scratch costs at least O(n^2) even approximately.
+//
+// verify_flow is certificate-first, and allocation-free on a warmed thread
+// except for a rejection's reason string: one pass in edge-id order checks capacities and accumulates every
+// vertex's net flow; then, when no residual arc leaves the source or none
+// enters the sink (the terminal star is closed arc by arc), the sink is
+// unreachable by construction and the BFS is skipped.  Only a miss runs
+// the BFS.  Scratch (net flows, BFS queue and marks) is per thread.
 #pragma once
 
 #include <span>
@@ -16,6 +23,9 @@ struct VerifyResult {
   bool feasible = false;  ///< capacity + conservation constraints hold
   bool optimal = false;   ///< feasible and no augmenting path remains
   double value = 0.0;     ///< net flow out of the source
+  /// Optimality was settled by the closed terminal star, with no BFS (the
+  /// verdict is the BFS's by construction; this only records the path).
+  bool star_closed = false;
   std::string reason;     ///< first violated constraint, empty when optimal
 };
 

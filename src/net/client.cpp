@@ -115,7 +115,7 @@ util::Status AuthClient::ensure_connected(const util::Deadline& deadline) {
 }
 
 util::Status AuthClient::attempt(MessageType type,
-                                 const std::vector<std::uint8_t>& payload,
+                                 protocol::codec::EncodeFn payload,
                                  const util::Deadline& deadline,
                                  Frame* reply) {
   ++stats_.attempts;
@@ -145,13 +145,13 @@ util::Status AuthClient::attempt(MessageType type,
 }
 
 util::Status AuthClient::round_trip(MessageType type,
-                                    const std::vector<std::uint8_t>& payload,
+                                    protocol::codec::EncodeFn payload,
                                     const util::Deadline& deadline,
                                     MessageType expected_reply,
                                     Frame* reply) {
   ++stats_.requests;
   if (obs::Counter* c = counter_or_null("client.requests")) c->add();
-  if (payload.size() > kMaxPayload)
+  if (protocol::codec::encoded_size(payload) > kMaxPayload)
     return Status::invalid_argument(
         std::string(message_type_name(type)) +
         " request payload exceeds frame limit");
@@ -253,9 +253,10 @@ util::Status AuthClient::ping(std::uint32_t delay_ms,
                               const util::Deadline& deadline,
                               HealthInfo* health) {
   Frame reply;
-  if (Status s = round_trip(MessageType::kPingRequest,
-                            encode_ping_request(delay_ms), deadline,
-                            MessageType::kPingReply, &reply);
+  if (Status s = round_trip(
+          MessageType::kPingRequest,
+          [&](Writer& w) { encode_ping_request(w, delay_ms); }, deadline,
+          MessageType::kPingReply, &reply);
       !s.is_ok())
     return s;
   if (health == nullptr) return Status::ok();
@@ -284,7 +285,8 @@ util::Status AuthClient::run_pipeline(
       const std::uint64_t id = next_request_id_++;
       const std::vector<std::uint8_t> frame = encode_frame(
           MessageType::kPredictRequest, id, options_.device_id,
-          budget_ms_for(deadline), encode_predict_request(challenges[next]));
+          budget_ms_for(deadline),
+          [&](Writer& w) { encode_predict_request(w, challenges[next]); });
       if (Status s = send_all(fd_, frame.data(), frame.size(), deadline);
           !s.is_ok()) {
         disconnect();
@@ -366,9 +368,10 @@ util::Status AuthClient::predict(const Challenge& challenge,
                                  SimulationModel::Prediction* out,
                                  const util::Deadline& deadline) {
   Frame reply;
-  if (Status s = round_trip(MessageType::kPredictRequest,
-                            encode_predict_request(challenge), deadline,
-                            MessageType::kPredictReply, &reply);
+  if (Status s = round_trip(
+          MessageType::kPredictRequest,
+          [&](Writer& w) { encode_predict_request(w, challenge); }, deadline,
+          MessageType::kPredictReply, &reply);
       !s.is_ok())
     return s;
   return decode_predict_reply(reply.payload, out);
@@ -379,9 +382,10 @@ util::Status AuthClient::verify(const Challenge& challenge,
                                 protocol::AuthenticationResult* out,
                                 const util::Deadline& deadline) {
   Frame reply;
-  if (Status s = round_trip(MessageType::kVerifyRequest,
-                            encode_verify_request(challenge, report),
-                            deadline, MessageType::kVerifyReply, &reply);
+  if (Status s = round_trip(
+          MessageType::kVerifyRequest,
+          [&](Writer& w) { encode_verify_request(w, challenge, report); },
+          deadline, MessageType::kVerifyReply, &reply);
       !s.is_ok())
     return s;
   return decode_verify_reply(reply.payload, out);
@@ -398,7 +402,9 @@ util::Status AuthClient::verify_batch(
   Frame reply;
   if (Status s =
           round_trip(MessageType::kVerifyBatchRequest,
-                     encode_verify_batch_request(challenges, reports),
+                     [&](Writer& w) {
+                       encode_verify_batch_request(w, challenges, reports);
+                     },
                      deadline, MessageType::kVerifyBatchReply, &reply);
       !s.is_ok())
     return s;
@@ -409,7 +415,8 @@ util::Status AuthClient::get_challenge(ChallengeGrant* out,
                                        const util::Deadline& deadline) {
   Frame reply;
   if (Status s = round_trip(MessageType::kChallengeRequest,
-                            encode_challenge_request(), deadline,
+                            [](Writer& w) { encode_challenge_request(w); },
+                            deadline,
                             MessageType::kChallengeReply, &reply);
       !s.is_ok())
     return s;
@@ -424,9 +431,10 @@ util::Status AuthClient::chained_auth(const ChallengeGrant& grant,
   req.grant = grant;
   req.report = report;
   Frame reply;
-  if (Status s = round_trip(MessageType::kChainedAuthRequest,
-                            encode_chained_auth_request(req), deadline,
-                            MessageType::kChainedAuthReply, &reply);
+  if (Status s = round_trip(
+          MessageType::kChainedAuthRequest,
+          [&](Writer& w) { encode_chained_auth_request(w, req); }, deadline,
+          MessageType::kChainedAuthReply, &reply);
       !s.is_ok())
     return s;
   return decode_chained_auth_reply(reply.payload, out);
@@ -442,7 +450,8 @@ util::Status AuthClient::enroll_device(const EnrollRequestBody& spec,
   options_.device_id = requested_id;
   Frame reply;
   const Status s =
-      round_trip(MessageType::kEnrollRequest, encode_enroll_request(spec),
+      round_trip(MessageType::kEnrollRequest,
+                 [&](Writer& w) { encode_enroll_request(w, spec); },
                  deadline, MessageType::kEnrollReply, &reply);
   options_.device_id = saved;
   if (!s.is_ok()) return s;
@@ -457,9 +466,10 @@ util::Status AuthClient::admin(const AdminRequestBody& request,
                                AdminReplyBody* out,
                                const util::Deadline& deadline) {
   Frame reply;
-  if (Status s = round_trip(MessageType::kAdminRequest,
-                            encode_admin_request(request), deadline,
-                            MessageType::kAdminReply, &reply);
+  if (Status s = round_trip(
+          MessageType::kAdminRequest,
+          [&](Writer& w) { encode_admin_request(w, request); }, deadline,
+          MessageType::kAdminReply, &reply);
       !s.is_ok())
     return s;
   return decode_admin_reply(reply.payload, out);
@@ -469,9 +479,10 @@ util::Status AuthClient::wal_fetch(const WalFetchRequestBody& request,
                                    WalSegmentBody* out,
                                    const util::Deadline& deadline) {
   Frame reply;
-  if (Status s = round_trip(MessageType::kWalFetchRequest,
-                            encode_wal_fetch_request(request), deadline,
-                            MessageType::kWalSegmentReply, &reply);
+  if (Status s = round_trip(
+          MessageType::kWalFetchRequest,
+          [&](Writer& w) { encode_wal_fetch_request(w, request); }, deadline,
+          MessageType::kWalSegmentReply, &reply);
       !s.is_ok())
     return s;
   return decode_wal_segment_reply(reply.payload, out);

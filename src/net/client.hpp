@@ -182,16 +182,16 @@ class AuthClient {
   std::uint64_t device_id() const { return options_.device_id; }
 
  private:
-  /// One request with retry/backoff/reconnect.  On success `*reply` holds
-  /// the reply frame (possibly kErrorReply, which is mapped to a Status by
-  /// the caller-facing wrappers).
-  util::Status round_trip(MessageType type,
-                          const std::vector<std::uint8_t>& payload,
+  /// One request with retry/backoff/reconnect.  `payload` writes the
+  /// request body; each attempt frames it in one exactly sized buffer
+  /// (encode_frame).  On success `*reply` holds the reply frame (possibly
+  /// kErrorReply, which is mapped to a Status by the caller-facing
+  /// wrappers).
+  util::Status round_trip(MessageType type, protocol::codec::EncodeFn payload,
                           const util::Deadline& deadline,
                           MessageType expected_reply, Frame* reply);
   /// Single attempt: (re)connect if needed, send, receive one frame.
-  util::Status attempt(MessageType type,
-                       const std::vector<std::uint8_t>& payload,
+  util::Status attempt(MessageType type, protocol::codec::EncodeFn payload,
                        const util::Deadline& deadline, Frame* reply);
   /// One pipelined window (no retry); results land in *out per item.
   util::Status run_pipeline(const std::vector<Challenge>& challenges,

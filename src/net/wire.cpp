@@ -122,10 +122,13 @@ std::uint32_t budget_ms_for(const util::Deadline& deadline) {
       std::min<std::chrono::milliseconds::rep>(ms, 0xffffffffu));
 }
 
-std::vector<std::uint8_t> encode_frame(
-    MessageType type, std::uint64_t request_id, std::uint64_t device_id,
-    std::uint32_t budget_ms, const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > kMaxPayload) {
+std::vector<std::uint8_t> encode_frame(MessageType type,
+                                       std::uint64_t request_id,
+                                       std::uint64_t device_id,
+                                       std::uint32_t budget_ms,
+                                       protocol::codec::EncodeFn payload) {
+  const std::size_t size = protocol::codec::encoded_size(payload);
+  if (size > kMaxPayload) {
     // A frame the peer is guaranteed to reject as unparseable (oversized
     // length, or a silently truncated u32 beyond 4 GiB) desynchronises the
     // stream and drops the connection.  Degrade to a typed error carrying
@@ -138,15 +141,24 @@ std::vector<std::uint8_t> encode_frame(
                         budget_ms, encode_error_reply(err));
   }
   Writer w;
+  w.reserve(kHeaderSize + size);
   w.u32(kWireMagic);
   w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(type));
   w.u64(request_id);
   w.u64(device_id);
   w.u32(budget_ms);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.raw(payload.data(), payload.size());
+  w.u32(static_cast<std::uint32_t>(size));
+  payload(w);
   return w.take();
+}
+
+std::vector<std::uint8_t> encode_frame(
+    MessageType type, std::uint64_t request_id, std::uint64_t device_id,
+    std::uint32_t budget_ms, const std::vector<std::uint8_t>& payload) {
+  return encode_frame(
+      type, request_id, device_id, budget_ms,
+      [&](Writer& w) { w.raw(payload.data(), payload.size()); });
 }
 
 DecodeResult decode_frame(const std::uint8_t* data, std::size_t size,
@@ -217,10 +229,10 @@ util::Status read_frame(int fd, Frame* out, const util::Deadline& deadline) {
 // --- typed payloads -------------------------------------------------------
 
 std::vector<std::uint8_t> encode_error_reply(const ErrorReply& e) {
-  Writer w;
-  w.u16(static_cast<std::uint16_t>(e.code));
-  w.str(e.message);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    w.u16(static_cast<std::uint16_t>(e.code));
+    w.str(e.message);
+  });
 }
 
 std::vector<std::uint8_t> encode_error_frame(std::uint64_t request_id,
@@ -246,10 +258,13 @@ util::Status decode_error_reply(const std::vector<std::uint8_t>& payload,
   return finish(r, "error reply");
 }
 
-std::vector<std::uint8_t> encode_ping_request(std::uint32_t delay_ms) {
-  Writer w;
+void encode_ping_request(Writer& w, std::uint32_t delay_ms) {
   w.u32(delay_ms);
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode_ping_request(std::uint32_t delay_ms) {
+  return protocol::codec::encode(
+      [&](Writer& w) { encode_ping_request(w, delay_ms); });
 }
 
 util::Status decode_ping_request(const std::vector<std::uint8_t>& payload,
@@ -260,16 +275,16 @@ util::Status decode_ping_request(const std::vector<std::uint8_t>& payload,
 }
 
 std::vector<std::uint8_t> encode_ping_reply(const HealthInfo& h) {
-  Writer w;
-  w.u32(h.inflight);
-  w.u32(h.max_inflight);
-  w.u8(h.draining);
-  w.u64(h.requests_served);
-  w.u64(h.connections_accepted);
-  w.u64(h.device_count);
-  w.u64(h.wal_epoch);
-  w.u64(h.wal_offset);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    w.u32(h.inflight);
+    w.u32(h.max_inflight);
+    w.u8(h.draining);
+    w.u64(h.requests_served);
+    w.u64(h.connections_accepted);
+    w.u64(h.device_count);
+    w.u64(h.wal_epoch);
+    w.u64(h.wal_offset);
+  });
 }
 
 util::Status decode_ping_reply(const std::vector<std::uint8_t>& payload,
@@ -289,10 +304,13 @@ util::Status decode_ping_reply(const std::vector<std::uint8_t>& payload,
   return finish(r, "ping reply");
 }
 
-std::vector<std::uint8_t> encode_predict_request(const Challenge& c) {
-  Writer w;
+void encode_predict_request(Writer& w, const Challenge& c) {
   protocol::codec::encode_challenge(w, c);
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode_predict_request(const Challenge& c) {
+  return protocol::codec::encode(
+      [&](Writer& w) { encode_predict_request(w, c); });
 }
 
 util::Status decode_predict_request(const std::vector<std::uint8_t>& payload,
@@ -305,9 +323,9 @@ util::Status decode_predict_request(const std::vector<std::uint8_t>& payload,
 
 std::vector<std::uint8_t> encode_predict_reply(
     const SimulationModel::Prediction& p) {
-  Writer w;
-  protocol::codec::encode_prediction(w, p);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    protocol::codec::encode_prediction(w, p);
+  });
 }
 
 util::Status decode_predict_reply(const std::vector<std::uint8_t>& payload,
@@ -318,12 +336,16 @@ util::Status decode_predict_reply(const std::vector<std::uint8_t>& payload,
   return finish(r, "predict reply");
 }
 
-std::vector<std::uint8_t> encode_verify_request(
-    const Challenge& c, const protocol::ProverReport& report) {
-  Writer w;
+void encode_verify_request(Writer& w, const Challenge& c,
+                           const protocol::ProverReport& report) {
   protocol::codec::encode_challenge(w, c);
   protocol::codec::encode_prover_report(w, report);
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode_verify_request(
+    const Challenge& c, const protocol::ProverReport& report) {
+  return protocol::codec::encode(
+      [&](Writer& w) { encode_verify_request(w, c, report); });
 }
 
 util::Status decode_verify_request(const std::vector<std::uint8_t>& payload,
@@ -340,9 +362,9 @@ util::Status decode_verify_request(const std::vector<std::uint8_t>& payload,
 
 std::vector<std::uint8_t> encode_verify_reply(
     const protocol::AuthenticationResult& res) {
-  Writer w;
-  protocol::codec::encode_auth_result(w, res);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    protocol::codec::encode_auth_result(w, res);
+  });
 }
 
 util::Status decode_verify_reply(const std::vector<std::uint8_t>& payload,
@@ -353,19 +375,24 @@ util::Status decode_verify_reply(const std::vector<std::uint8_t>& payload,
   return finish(r, "verify reply");
 }
 
-std::vector<std::uint8_t> encode_verify_batch_request(
-    const std::vector<Challenge>& challenges,
+void encode_verify_batch_request(
+    Writer& w, const std::vector<Challenge>& challenges,
     const std::vector<protocol::ProverReport>& reports) {
   // Bounded by BOTH vectors: a mismatched caller gets the common prefix,
   // not an out-of-bounds read.
   const std::size_t n = std::min(challenges.size(), reports.size());
-  Writer w;
   w.u32(static_cast<std::uint32_t>(n));
   for (std::size_t i = 0; i < n; ++i) {
     protocol::codec::encode_challenge(w, challenges[i]);
     protocol::codec::encode_prover_report(w, reports[i]);
   }
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode_verify_batch_request(
+    const std::vector<Challenge>& challenges,
+    const std::vector<protocol::ProverReport>& reports) {
+  return protocol::codec::encode(
+      [&](Writer& w) { encode_verify_batch_request(w, challenges, reports); });
 }
 
 util::Status decode_verify_batch_request(
@@ -399,10 +426,10 @@ util::Status decode_verify_batch_request(
 
 std::vector<std::uint8_t> encode_verify_batch_reply(
     const std::vector<protocol::AuthenticationResult>& results) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(results.size()));
-  for (const auto& res : results) protocol::codec::encode_auth_result(w, res);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    w.u32(static_cast<std::uint32_t>(results.size()));
+    for (const auto& res : results) protocol::codec::encode_auth_result(w, res);
+  });
 }
 
 util::Status decode_verify_batch_reply(
@@ -424,6 +451,8 @@ util::Status decode_verify_batch_reply(
   return finish(r, "verify batch reply");
 }
 
+void encode_challenge_request(Writer&) {}
+
 std::vector<std::uint8_t> encode_challenge_request() { return {}; }
 
 util::Status decode_challenge_request(
@@ -433,12 +462,12 @@ util::Status decode_challenge_request(
 }
 
 std::vector<std::uint8_t> encode_challenge_reply(const ChallengeGrant& g) {
-  Writer w;
-  protocol::codec::encode_challenge(w, g.challenge);
-  w.u32(g.chain_length);
-  w.u64(g.nonce);
-  w.f64(g.deadline_seconds);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    protocol::codec::encode_challenge(w, g.challenge);
+    w.u32(g.chain_length);
+    w.u64(g.nonce);
+    w.f64(g.deadline_seconds);
+  });
 }
 
 util::Status decode_challenge_reply(const std::vector<std::uint8_t>& payload,
@@ -453,15 +482,18 @@ util::Status decode_challenge_reply(const std::vector<std::uint8_t>& payload,
   return finish(r, "challenge reply");
 }
 
-std::vector<std::uint8_t> encode_chained_auth_request(
-    const ChainedAuthRequest& req) {
-  Writer w;
+void encode_chained_auth_request(Writer& w, const ChainedAuthRequest& req) {
   protocol::codec::encode_challenge(w, req.grant.challenge);
   w.u32(req.grant.chain_length);
   w.u64(req.grant.nonce);
   w.f64(req.grant.deadline_seconds);
   protocol::codec::encode_chained_report(w, req.report);
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode_chained_auth_request(
+    const ChainedAuthRequest& req) {
+  return protocol::codec::encode(
+      [&](Writer& w) { encode_chained_auth_request(w, req); });
 }
 
 util::Status decode_chained_auth_request(
@@ -482,9 +514,9 @@ util::Status decode_chained_auth_request(
 
 std::vector<std::uint8_t> encode_chained_auth_reply(
     const protocol::ChainedVerifyResult& res) {
-  Writer w;
-  protocol::codec::encode_chained_result(w, res);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    protocol::codec::encode_chained_result(w, res);
+  });
 }
 
 util::Status decode_chained_auth_reply(
@@ -498,14 +530,17 @@ util::Status decode_chained_auth_reply(
 
 // --- fleet payloads -------------------------------------------------------
 
-std::vector<std::uint8_t> encode_enroll_request(const EnrollRequestBody& e) {
-  Writer w;
+void encode_enroll_request(Writer& w, const EnrollRequestBody& e) {
   w.u32(e.node_count);
   w.u32(e.grid_size);
   w.u64(e.fabrication_seed);
   w.str(e.label);
   w.u8(e.backend);
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode_enroll_request(const EnrollRequestBody& e) {
+  return protocol::codec::encode(
+      [&](Writer& w) { encode_enroll_request(w, e); });
 }
 
 util::Status decode_enroll_request(const std::vector<std::uint8_t>& payload,
@@ -536,9 +571,9 @@ util::Status decode_enroll_request(const std::vector<std::uint8_t>& payload,
 }
 
 std::vector<std::uint8_t> encode_enroll_reply(const EnrollReplyBody& e) {
-  Writer w;
-  w.u64(e.device_id);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    w.u64(e.device_id);
+  });
 }
 
 util::Status decode_enroll_reply(const std::vector<std::uint8_t>& payload,
@@ -549,13 +584,16 @@ util::Status decode_enroll_reply(const std::vector<std::uint8_t>& payload,
   return finish(r, "enroll reply");
 }
 
-std::vector<std::uint8_t> encode_admin_request(const AdminRequestBody& a) {
-  Writer w;
+void encode_admin_request(Writer& w, const AdminRequestBody& a) {
   w.u8(static_cast<std::uint8_t>(a.op));
   w.str(a.shard);
   w.str(a.host);
   w.u16(a.port);
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode_admin_request(const AdminRequestBody& a) {
+  return protocol::codec::encode(
+      [&](Writer& w) { encode_admin_request(w, a); });
 }
 
 util::Status decode_admin_request(const std::vector<std::uint8_t>& payload,
@@ -572,24 +610,24 @@ util::Status decode_admin_request(const std::vector<std::uint8_t>& payload,
 }
 
 std::vector<std::uint8_t> encode_admin_reply(const AdminReplyBody& a) {
-  Writer w;
-  w.u8(a.ok);
-  w.str(a.message);
-  w.u32(static_cast<std::uint32_t>(a.shards.size()));
-  for (const ShardStatus& s : a.shards) {
-    w.str(s.name);
-    w.str(s.host);
-    w.u16(s.port);
-    w.u8(s.state);
-    w.u8(s.draining);
-    w.u64(s.inflight);
-    w.u64(s.pinned_sessions);
-    w.u64(s.forwarded);
-    w.u64(s.device_count);
-    w.u64(s.wal_epoch);
-    w.u64(s.wal_offset);
-  }
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    w.u8(a.ok);
+    w.str(a.message);
+    w.u32(static_cast<std::uint32_t>(a.shards.size()));
+    for (const ShardStatus& s : a.shards) {
+      w.str(s.name);
+      w.str(s.host);
+      w.u16(s.port);
+      w.u8(s.state);
+      w.u8(s.draining);
+      w.u64(s.inflight);
+      w.u64(s.pinned_sessions);
+      w.u64(s.forwarded);
+      w.u64(s.device_count);
+      w.u64(s.wal_epoch);
+      w.u64(s.wal_offset);
+    }
+  });
 }
 
 util::Status decode_admin_reply(const std::vector<std::uint8_t>& payload,
@@ -617,13 +655,16 @@ util::Status decode_admin_reply(const std::vector<std::uint8_t>& payload,
   return finish(r, "admin reply");
 }
 
-std::vector<std::uint8_t> encode_wal_fetch_request(
-    const WalFetchRequestBody& f) {
-  Writer w;
+void encode_wal_fetch_request(Writer& w, const WalFetchRequestBody& f) {
   w.u64(f.epoch);
   w.u64(f.offset);
   w.u32(f.max_bytes);
-  return w.take();
+}
+
+std::vector<std::uint8_t> encode_wal_fetch_request(
+    const WalFetchRequestBody& f) {
+  return protocol::codec::encode(
+      [&](Writer& w) { encode_wal_fetch_request(w, f); });
 }
 
 util::Status decode_wal_fetch_request(
@@ -635,13 +676,13 @@ util::Status decode_wal_fetch_request(
 }
 
 std::vector<std::uint8_t> encode_wal_segment_reply(const WalSegmentBody& s) {
-  Writer w;
-  w.u8(s.bootstrap);
-  w.u64(s.epoch);
-  w.u64(s.next_offset);
-  w.u32(static_cast<std::uint32_t>(s.bytes.size()));
-  w.raw(s.bytes.data(), s.bytes.size());
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    w.u8(s.bootstrap);
+    w.u64(s.epoch);
+    w.u64(s.next_offset);
+    w.u32(static_cast<std::uint32_t>(s.bytes.size()));
+    w.raw(s.bytes.data(), s.bytes.size());
+  });
 }
 
 util::Status decode_wal_segment_reply(
@@ -657,12 +698,12 @@ util::Status decode_wal_segment_reply(
 }
 
 std::vector<std::uint8_t> encode_redirect_reply(const RedirectReplyBody& rr) {
-  Writer w;
-  w.str(rr.host);
-  w.u16(rr.port);
-  w.str(rr.shard);
-  w.str(rr.message);
-  return w.take();
+  return protocol::codec::encode([&](Writer& w) {
+    w.str(rr.host);
+    w.u16(rr.port);
+    w.str(rr.shard);
+    w.str(rr.message);
+  });
 }
 
 util::Status decode_redirect_reply(const std::vector<std::uint8_t>& payload,

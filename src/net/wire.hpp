@@ -131,10 +131,18 @@ struct Frame {
 /// confused with "unlimited" on the wire.
 std::uint32_t budget_ms_for(const util::Deadline& deadline);
 
-/// Serialise a complete frame (header + payload).  A payload over
-/// kMaxPayload is never framed (the peer would reject it and drop the
-/// connection); it is replaced by a kErrorReply frame (kInternal) with the
-/// same request id so the failure stays typed and in-band.
+/// Serialise a complete frame (header + payload) in one buffer of exactly
+/// its size: `payload` runs once on a counting Writer for the length and
+/// once to write the body after the header.  A payload over kMaxPayload is
+/// never framed (the peer would reject it and drop the connection); it is
+/// replaced by a kErrorReply frame (kInternal) with the same request id so
+/// the failure stays typed and in-band.
+std::vector<std::uint8_t> encode_frame(MessageType type,
+                                       std::uint64_t request_id,
+                                       std::uint64_t device_id,
+                                       std::uint32_t budget_ms,
+                                       protocol::codec::EncodeFn payload);
+/// The same frame around already encoded payload bytes.
 std::vector<std::uint8_t> encode_frame(MessageType type,
                                        std::uint64_t request_id,
                                        std::uint64_t device_id,
@@ -168,6 +176,13 @@ util::Status read_frame(int fd, Frame* out, const util::Deadline& deadline);
 //
 // One encode/decode pair per message type.  Decoders return
 // kInvalidArgument on any malformed byte and reject trailing garbage.
+// Every encoder sizes before it allocates (protocol::codec::encode), so a
+// payload is one exactly sized buffer.  Request types also have a
+// Writer-appending form, which encode_frame takes to build the whole
+// request frame in a single allocation; the vector form is the same bytes
+// on their own.
+
+using protocol::codec::Writer;
 
 struct ErrorReply {
   WireCode code = WireCode::kInternal;
@@ -197,6 +212,7 @@ std::vector<std::uint8_t> encode_error_frame(std::uint64_t request_id,
 util::Status decode_error_reply(const std::vector<std::uint8_t>& payload,
                                 ErrorReply* out);
 
+void encode_ping_request(Writer& w, std::uint32_t delay_ms);
 std::vector<std::uint8_t> encode_ping_request(std::uint32_t delay_ms);
 util::Status decode_ping_request(const std::vector<std::uint8_t>& payload,
                                  std::uint32_t* delay_ms);
@@ -223,6 +239,7 @@ std::vector<std::uint8_t> encode_ping_reply(const HealthInfo& h);
 util::Status decode_ping_reply(const std::vector<std::uint8_t>& payload,
                                HealthInfo* out);
 
+void encode_predict_request(Writer& w, const Challenge& c);
 std::vector<std::uint8_t> encode_predict_request(const Challenge& c);
 util::Status decode_predict_request(const std::vector<std::uint8_t>& payload,
                                     Challenge* out);
@@ -232,6 +249,8 @@ std::vector<std::uint8_t> encode_predict_reply(
 util::Status decode_predict_reply(const std::vector<std::uint8_t>& payload,
                                   SimulationModel::Prediction* out);
 
+void encode_verify_request(Writer& w, const Challenge& c,
+                           const protocol::ProverReport& report);
 std::vector<std::uint8_t> encode_verify_request(
     const Challenge& c, const protocol::ProverReport& report);
 util::Status decode_verify_request(const std::vector<std::uint8_t>& payload,
@@ -243,6 +262,9 @@ std::vector<std::uint8_t> encode_verify_reply(
 util::Status decode_verify_reply(const std::vector<std::uint8_t>& payload,
                                  protocol::AuthenticationResult* out);
 
+void encode_verify_batch_request(
+    Writer& w, const std::vector<Challenge>& challenges,
+    const std::vector<protocol::ProverReport>& reports);
 std::vector<std::uint8_t> encode_verify_batch_request(
     const std::vector<Challenge>& challenges,
     const std::vector<protocol::ProverReport>& reports);
@@ -257,6 +279,7 @@ util::Status decode_verify_batch_reply(
     const std::vector<std::uint8_t>& payload,
     std::vector<protocol::AuthenticationResult>* out);
 
+void encode_challenge_request(Writer& w);
 std::vector<std::uint8_t> encode_challenge_request();
 util::Status decode_challenge_request(
     const std::vector<std::uint8_t>& payload);
@@ -265,6 +288,7 @@ std::vector<std::uint8_t> encode_challenge_reply(const ChallengeGrant& g);
 util::Status decode_challenge_reply(const std::vector<std::uint8_t>& payload,
                                     ChallengeGrant* out);
 
+void encode_chained_auth_request(Writer& w, const ChainedAuthRequest& req);
 std::vector<std::uint8_t> encode_chained_auth_request(
     const ChainedAuthRequest& req);
 util::Status decode_chained_auth_request(
@@ -301,6 +325,7 @@ struct EnrollReplyBody {
   std::uint64_t device_id = 0;  ///< the id actually assigned
 };
 
+void encode_enroll_request(Writer& w, const EnrollRequestBody& e);
 std::vector<std::uint8_t> encode_enroll_request(const EnrollRequestBody& e);
 util::Status decode_enroll_request(const std::vector<std::uint8_t>& payload,
                                    EnrollRequestBody* out);
@@ -345,6 +370,7 @@ struct AdminReplyBody {
   std::vector<ShardStatus> shards;
 };
 
+void encode_admin_request(Writer& w, const AdminRequestBody& a);
 std::vector<std::uint8_t> encode_admin_request(const AdminRequestBody& a);
 util::Status decode_admin_request(const std::vector<std::uint8_t>& payload,
                                   AdminRequestBody* out);
@@ -373,6 +399,7 @@ struct WalSegmentBody {
   std::vector<std::uint8_t> bytes;
 };
 
+void encode_wal_fetch_request(Writer& w, const WalFetchRequestBody& f);
 std::vector<std::uint8_t> encode_wal_fetch_request(
     const WalFetchRequestBody& f);
 util::Status decode_wal_fetch_request(

@@ -316,6 +316,8 @@ void register_standard_metrics(MetricsRegistry& registry) {
   registry.counter("protocol.verify_batch.accepted");
   registry.counter("protocol.verify_batch.rejected");
   registry.histogram("protocol.verify_batch.item_time_us");
+  registry.counter("protocol.verify.star_closed");
+  registry.counter("protocol.verify.bfs_fallback");
 
   // Response cache aggregate gauges (per-shard gauges appear once a cache
   // publishes; the aggregates are part of the stable schema).

@@ -1,7 +1,9 @@
 #include "protocol/authentication.hpp"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -41,24 +43,48 @@ std::string flow_vector_error(const graph::Digraph& g,
            std::to_string(flow.size()) + " entries, graph has " +
            std::to_string(g.edge_count()) + " edges";
   }
-  for (const double f : flow) {
-    if (!std::isfinite(f))
-      return std::string("malformed report: ") + which +
-             " contains a non-finite flow";
-  }
+  // A double is non-finite exactly when its exponent bits are all ones;
+  // adding one exponent ulp to the masked exponent then carries into bit
+  // 63.  OR-ing those sums has no early exit and no 64-bit compare, so the
+  // scan vectorises (an n = 64 network is 4,032 flows per report).
+  constexpr std::uint64_t kExponent = 0x7ff0000000000000ULL;
+  constexpr std::uint64_t kExponentUlp = 0x0010000000000000ULL;
+  std::uint64_t carries = 0;
+  for (const double f : flow)
+    carries |= (std::bit_cast<std::uint64_t>(f) & kExponent) + kExponentUlp;
+  if ((carries >> 63) != 0)
+    return std::string("malformed report: ") + which +
+           " contains a non-finite flow";
   return {};
+}
+
+/// Star-closure / BFS-fallback counters of one verify call, batch or
+/// chain; null when metrics are disabled.
+struct VerifyCounters {
+  obs::Counter* star_closed = nullptr;
+  obs::Counter* bfs_fallback = nullptr;
+};
+
+VerifyCounters verify_counters() {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  if (!reg.enabled()) return {};
+  return {&reg.counter("protocol.verify.star_closed"),
+          &reg.counter("protocol.verify.bfs_fallback")};
 }
 
 /// The flow claims of one well-formed report: per network, the residual-
 /// graph check (feasible and maximum) on the thread's scratch instance,
 /// then the response bit against the claimed values.  Returns the first
 /// failure, empty when the claims hold; `*flows_valid` (when given) is set
-/// once both networks pass.  Shared by single, batch and chained
-/// verification.
+/// once both networks pass.  Every feasible network counts once into
+/// protocol.verify.star_closed or protocol.verify.bfs_fallback.  Shared by
+/// single, batch and chained verification.
 std::string flow_claims_error(const SimulationModel& model,
                               const Challenge& challenge,
                               const ProverReport& report, double tolerance,
-                              unsigned threads, bool* flows_valid) {
+                              unsigned threads,
+                              const VerifyCounters& counters,
+                              bool* flows_valid) {
   for (int net = 0; net < 2; ++net) {
     const char* label = net == 0 ? "network A: " : "network B: ";
     const char* which = net == 0 ? "edge_flow_a" : "edge_flow_b";
@@ -69,6 +95,11 @@ std::string flow_claims_error(const SimulationModel& model,
     try {
       const maxflow::VerifyResult v = maxflow::verify_flow(
           g, challenge.source, challenge.sink, flow, tolerance, threads);
+      if (v.feasible) {
+        obs::Counter* path =
+            v.star_closed ? counters.star_closed : counters.bfs_fallback;
+        if (path != nullptr) path->add();
+      }
       if (!v.optimal) return label + v.reason;
     } catch (const std::exception& e) {
       return label + std::string("verification error: ") + e.what();
@@ -81,6 +112,35 @@ std::string flow_claims_error(const SimulationModel& model,
   if (report.bit != expected)
     return "response bit inconsistent with claimed flows";
   return {};
+}
+
+/// Verifier::verify with the batch's counter handles.
+AuthenticationResult verify_report(const SimulationModel& model,
+                                   double deadline, double tolerance,
+                                   unsigned threads,
+                                   const Challenge& challenge,
+                                   const ProverReport& report,
+                                   const VerifyCounters& counters) {
+  AuthenticationResult result;
+
+  result.detail = report_shape_error(report);
+  if (!result.detail.empty()) return result;
+
+  result.in_time = report.elapsed_seconds <= deadline;
+  if (!result.in_time) {
+    result.detail = "deadline exceeded";
+    return result;
+  }
+
+  // Residual-graph verification (cheap, parallelizable): feasibility plus
+  // no remaining augmenting path, per network; then the response bit.
+  result.detail = flow_claims_error(model, challenge, report, tolerance,
+                                    threads, counters, &result.flows_valid);
+  result.bit_consistent = result.flows_valid && result.detail.empty();
+  if (!result.detail.empty()) return result;
+
+  result.accepted = true;
+  return result;
 }
 
 }  // namespace
@@ -98,26 +158,8 @@ Challenge Verifier::issue_challenge(util::Rng& rng) const {
 
 AuthenticationResult Verifier::verify(const Challenge& challenge,
                                       const ProverReport& report) const {
-  AuthenticationResult result;
-
-  result.detail = report_shape_error(report);
-  if (!result.detail.empty()) return result;
-
-  result.in_time = report.elapsed_seconds <= deadline_;
-  if (!result.in_time) {
-    result.detail = "deadline exceeded";
-    return result;
-  }
-
-  // Residual-graph verification (cheap, parallelizable): feasibility plus
-  // no remaining augmenting path, per network; then the response bit.
-  result.detail = flow_claims_error(model_, challenge, report, tolerance_,
-                                    threads_, &result.flows_valid);
-  result.bit_consistent = result.flows_valid && result.detail.empty();
-  if (!result.detail.empty()) return result;
-
-  result.accepted = true;
-  return result;
+  return verify_report(model_, deadline_, tolerance_, threads_, challenge,
+                       report, verify_counters());
 }
 
 std::vector<AuthenticationResult> Verifier::verify_batch(
@@ -137,9 +179,11 @@ std::vector<AuthenticationResult> Verifier::verify_batch(
   obs::Histogram* m_item_time =
       reg.enabled() ? &reg.histogram("protocol.verify_batch.item_time_us")
                     : nullptr;
+  const VerifyCounters counters = verify_counters();
   auto run_item = [&](std::size_t i) {
     obs::ScopedTimer timer(m_item_time);
-    results[i] = verify(challenges[i], reports[i]);
+    results[i] = verify_report(model_, deadline_, tolerance_, threads_,
+                               challenges[i], reports[i], counters);
   };
 
   const unsigned threads =
@@ -231,13 +275,14 @@ ChainedVerifyResult verify_chain(const Verifier& verifier,
           rng.uniform_int(0, static_cast<std::int64_t>(k) - 1)));
     }
   }
+  const VerifyCounters counters = verify_counters();
   for (const std::size_t i : to_check) {
     const ProverReport& round = report.rounds[i];
     std::string why = report_shape_error(round);
     if (why.empty())
       why = flow_claims_error(model, chain[i], round,
                               verifier.flow_tolerance(),
-                              verifier.verify_threads(), nullptr);
+                              verifier.verify_threads(), counters, nullptr);
     if (!why.empty()) {
       result.detail = "round " + std::to_string(i) + ": " + why;
       return result;

@@ -8,6 +8,14 @@
 // cheap residual-graph verification of Section 2 — the verifier never solves
 // max-flow itself.
 //
+// Verification cost: per network, one re-weight of the thread's scratch
+// graph and one maxflow::verify_flow, which settles optimality from the
+// closed terminal star when it can and runs the residual BFS only on a
+// miss; a warmed thread verifies an accepted report without a heap
+// allocation.  With metrics enabled, every feasible network counts once
+// into protocol.verify.star_closed or protocol.verify.bfs_fallback
+// (handles resolved once per verify call, batch or chain).
+//
 // Timing semantics: the prover self-reports `elapsed_seconds`.  For the
 // honest prover this is the *modelled chip delay* (our host must simulate
 // the analog settling, which the chip does in ~nanoseconds); for the

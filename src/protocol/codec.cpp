@@ -51,8 +51,25 @@ void Writer::str(const std::string& s) {
 }
 
 void Writer::raw(const void* data, std::size_t size) {
+  if (counting_) {
+    counted_ += size;
+    return;
+  }
   const auto* p = static_cast<const std::uint8_t*>(data);
   bytes_.insert(bytes_.end(), p, p + size);
+}
+
+std::size_t encoded_size(EncodeFn body) {
+  Writer w = Writer::counting();
+  body(w);
+  return w.size();
+}
+
+std::vector<std::uint8_t> encode(EncodeFn body) {
+  Writer w;
+  w.reserve(encoded_size(body));
+  body(w);
+  return w.take();
 }
 
 bool Reader::u8(std::uint8_t* v) {

@@ -15,6 +15,10 @@
 //   - vectors as u32 count + elements;
 //   - strings as u32 length + raw bytes.
 //
+// Encoding sizes before it allocates: encode() runs an encoder once on a
+// counting Writer and once into a buffer reserved to exactly that size, so
+// a 64 KB report is written in one allocation and one copy, never grown.
+//
 // Decoding is strict and bounds-checked: every read goes through Reader,
 // which never reads past the buffer and turns any malformed input into a
 // typed kInvalidArgument Status (never an exception, never a crash — the
@@ -23,7 +27,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ppuf/challenge.hpp"
@@ -36,7 +42,21 @@ namespace ppuf::protocol::codec {
 /// Append-only byte sink.  Encoding cannot fail.
 class Writer {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
+  /// A Writer that stores nothing: appends only advance size().  Running
+  /// an encoder on one learns the exact size of its bytes.
+  static Writer counting() {
+    Writer w;
+    w.counting_ = true;
+    return w;
+  }
+
+  void u8(std::uint8_t v) {
+    if (counting_) {
+      ++counted_;
+    } else {
+      bytes_.push_back(v);
+    }
+  }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -44,12 +64,45 @@ class Writer {
   void str(const std::string& s);  ///< u32 length + bytes
   void raw(const void* data, std::size_t size);
 
+  void reserve(std::size_t size) { bytes_.reserve(size); }
+  std::size_t size() const { return counting_ ? counted_ : bytes_.size(); }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
  private:
   std::vector<std::uint8_t> bytes_;
+  std::size_t counted_ = 0;
+  bool counting_ = false;
 };
+
+/// A non-owning reference to an encoder: any callable appending bytes to
+/// a Writer.  Unlike std::function it never allocates; the callable must
+/// outlive the call it is passed to (a lambda argument does).
+class EncodeFn {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::remove_cvref_t<F>, EncodeFn> &&
+                std::is_invocable_v<F&, Writer&>>>
+  EncodeFn(F&& f)  // NOLINT(google-explicit-constructor)
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_([](void* object, Writer& w) {
+          (*static_cast<std::add_pointer_t<F>>(object))(w);
+        }) {}
+
+  void operator()(Writer& w) const { call_(object_, w); }
+
+ private:
+  void* object_;
+  void (*call_)(void*, Writer&);
+};
+
+/// Bytes `body` appends (a counting pass; nothing is stored).
+std::size_t encoded_size(EncodeFn body);
+
+/// The bytes `body` appends, in one buffer of exactly their size.
+std::vector<std::uint8_t> encode(EncodeFn body);
 
 /// Bounds-checked cursor over a byte span.  Every accessor returns false
 /// (and sets a sticky error) instead of over-reading; decode functions

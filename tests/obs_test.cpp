@@ -20,10 +20,16 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "ppuf/ppuf.hpp"
+#include "ppuf/sim_model.hpp"
+#include "protocol/authentication.hpp"
+#include "util/rng.hpp"
 
 // Counting global operator new: lets the disabled-mode test assert "zero
 // allocations happened here".  Delegates straight to malloc/free; gtest and
-// the enabled-mode tests allocate freely through it.
+// the enabled-mode tests allocate freely through it.  The deletes stay out
+// of line so the compiler never pairs an inlined free() with the operator
+// new it saw, which it would warn about.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -38,10 +44,18 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ppuf::obs {
 namespace {
@@ -284,6 +298,65 @@ TEST(ObsMetrics, ConcurrentRegistryAccessIsSafe) {
     EXPECT_EQ(reg.counter_value("thread." + std::to_string(t)),
               static_cast<std::uint64_t>(kIters));
   }
+}
+
+TEST(ObsMetrics, VerifyPathCountersSumToNetworksVerified) {
+  // Every network whose flow is feasible reaches the optimality check and
+  // counts once: into protocol.verify.star_closed when the terminal star
+  // settles it, into protocol.verify.bfs_fallback when the BFS runs.
+  PpufParams params;
+  params.node_count = 16;
+  params.grid_size = 4;
+  MaxFlowPpuf chip(params, 42);
+  const SimulationModel model(chip);
+  const protocol::Verifier verifier(model, 1.0,
+                                    0.1 * model.mean_capacity());
+  util::Rng rng(7);
+  std::vector<Challenge> challenges;
+  std::vector<protocol::ProverReport> reports;
+  constexpr std::size_t kCertified = 6, kEmpty = 3;
+  for (std::size_t i = 0; i < kCertified + kEmpty; ++i) {
+    challenges.push_back(random_challenge(model.layout(), rng));
+    protocol::ProverReport r =
+        protocol::prove_by_certificate(model, challenges.back());
+    if (i >= kCertified) {
+      // Zero flow: feasible but not maximum, so network A fails on the
+      // BFS and network B is never checked.
+      std::fill(r.edge_flow_a.begin(), r.edge_flow_a.end(), 0.0);
+      std::fill(r.edge_flow_b.begin(), r.edge_flow_b.end(), 0.0);
+    }
+    reports.push_back(std::move(r));
+  }
+  // Malformed (wrong length) and infeasible reports reach no optimality
+  // check and count nowhere.
+  challenges.push_back(challenges.front());
+  reports.push_back(reports.front());
+  reports.back().edge_flow_a.pop_back();
+  challenges.push_back(challenges.front());
+  reports.push_back(reports.front());
+  reports.back().edge_flow_a[0] = 1.0;  // far over any block's capacity
+
+  MetricsRegistry& reg = MetricsRegistry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  const auto results = verifier.verify_batch(challenges, reports);
+  (void)verifier.verify(challenges.front(), reports.front());
+  const std::uint64_t closed =
+      reg.counter_value("protocol.verify.star_closed");
+  const std::uint64_t fallback =
+      reg.counter_value("protocol.verify.bfs_fallback");
+  reg.reset();
+  reg.set_enabled(false);
+
+  std::size_t accepted = 0;
+  for (const auto& r : results) accepted += r.accepted ? 1 : 0;
+  EXPECT_EQ(accepted, kCertified);
+  // Two networks per accepted report (plus the single verify), one per
+  // zero-flow report.
+  EXPECT_EQ(closed + fallback, 2 * kCertified + 2 + kEmpty);
+  EXPECT_GE(fallback, kEmpty);
+  // Certified flows saturate a terminal star.
+  EXPECT_EQ(closed, 2 * kCertified + 2);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <sstream>
@@ -1288,6 +1289,227 @@ TEST(CodecBulk, PaperScaleDeviceEntryReencodesIdentically) {
   ASSERT_EQ(parsed.entries.size(), 1u);
   EXPECT_EQ(parsed.entries[0].model_bytes, rec.entry.model_bytes);
   EXPECT_EQ(registry::frame_snapshot(parsed), image);
+}
+
+/// The 32-byte frame header as the layout table in net/wire.hpp specifies
+/// it, written byte by byte (independent of encode_frame).
+std::vector<std::uint8_t> specified_header(MessageType type,
+                                           std::uint64_t request_id,
+                                           std::uint64_t device_id,
+                                           std::uint32_t budget_ms,
+                                           std::size_t payload_len) {
+  std::vector<std::uint8_t> h;
+  auto le = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i)
+      h.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  for (const char c : {'P', 'P', 'U', 'F'})
+    h.push_back(static_cast<std::uint8_t>(c));
+  le(2, 2);  // kWireVersion
+  le(static_cast<std::uint16_t>(type), 2);
+  le(request_id, 8);
+  le(device_id, 8);
+  le(budget_ms, 4);
+  le(payload_len, 4);
+  return h;
+}
+
+TEST(Wire, SingleBufferRequestFramesMatchHeaderPlusSpecifiedPayload) {
+  // Every request type builds its frame in one exactly sized buffer from
+  // its Writer-appending encoder.  Pin each against the specified header
+  // followed by the payload written field by field from the documented
+  // layout, and against the vector encoder framed the old way.  VERIFY
+  // carries an n = 64 report (4,032 flows per network).
+  const CrossbarLayout layout(64, 8);
+  util::Rng rng(64);
+  const Challenge c = random_challenge(layout, rng);
+  protocol::ProverReport report = sample_report();
+  report.edge_flow_a = paper_scale_flows(3);
+  report.edge_flow_b = paper_scale_flows(4);
+  net::ChainedAuthRequest chained;
+  chained.grant.challenge = c;
+  chained.grant.chain_length = 2;
+  chained.grant.nonce = 0x0123456789abcdefULL;
+  chained.grant.deadline_seconds = 0.25;
+  chained.report.rounds = {report, sample_report()};
+  chained.report.elapsed_seconds = 1e-3;
+  net::EnrollRequestBody enroll;
+  enroll.node_count = 64;
+  enroll.grid_size = 8;
+  enroll.fabrication_seed = 90125;
+  enroll.label = "card-64";
+  net::AdminRequestBody admin;
+  admin.op = net::AdminOp::kDrainShard;
+  admin.shard = "shard-b";
+  admin.host = "10.0.0.2";
+  admin.port = 7001;
+  net::WalFetchRequestBody fetch;
+  fetch.epoch = 3;
+  fetch.offset = 4096;
+  fetch.max_bytes = 1 << 20;
+
+  struct Case {
+    MessageType type;
+    std::function<void(Writer&)> body;       // single-buffer encoder
+    std::vector<std::uint8_t> payload;       // vector encoder
+    std::function<void(Writer&)> specified;  // the documented layout
+  };
+  const std::vector<Case> cases = {
+      {MessageType::kPingRequest,
+       [](Writer& w) { net::encode_ping_request(w, 250); },
+       net::encode_ping_request(250), [](Writer& w) { w.u32(250); }},
+      {MessageType::kPredictRequest,
+       [&](Writer& w) { net::encode_predict_request(w, c); },
+       net::encode_predict_request(c),
+       [&](Writer& w) { protocol::codec::encode_challenge(w, c); }},
+      {MessageType::kVerifyRequest,
+       [&](Writer& w) { net::encode_verify_request(w, c, report); },
+       net::encode_verify_request(c, report),
+       [&](Writer& w) {
+         protocol::codec::encode_challenge(w, c);
+         protocol::codec::encode_prover_report(w, report);
+       }},
+      {MessageType::kVerifyBatchRequest,
+       [&](Writer& w) {
+         net::encode_verify_batch_request(w, {c, c}, {report, report});
+       },
+       net::encode_verify_batch_request({c, c}, {report, report}),
+       [&](Writer& w) {
+         w.u32(2);
+         for (int i = 0; i < 2; ++i) {
+           protocol::codec::encode_challenge(w, c);
+           protocol::codec::encode_prover_report(w, report);
+         }
+       }},
+      {MessageType::kChallengeRequest,
+       [](Writer& w) { net::encode_challenge_request(w); },
+       net::encode_challenge_request(), [](Writer&) {}},
+      {MessageType::kChainedAuthRequest,
+       [&](Writer& w) { net::encode_chained_auth_request(w, chained); },
+       net::encode_chained_auth_request(chained),
+       [&](Writer& w) {
+         protocol::codec::encode_challenge(w, chained.grant.challenge);
+         w.u32(chained.grant.chain_length);
+         w.u64(chained.grant.nonce);
+         w.f64(chained.grant.deadline_seconds);
+         protocol::codec::encode_chained_report(w, chained.report);
+       }},
+      {MessageType::kEnrollRequest,
+       [&](Writer& w) { net::encode_enroll_request(w, enroll); },
+       net::encode_enroll_request(enroll),
+       [&](Writer& w) {
+         w.u32(enroll.node_count);
+         w.u32(enroll.grid_size);
+         w.u64(enroll.fabrication_seed);
+         w.str(enroll.label);
+         w.u8(enroll.backend);
+       }},
+      {MessageType::kAdminRequest,
+       [&](Writer& w) { net::encode_admin_request(w, admin); },
+       net::encode_admin_request(admin),
+       [&](Writer& w) {
+         w.u8(static_cast<std::uint8_t>(admin.op));
+         w.str(admin.shard);
+         w.str(admin.host);
+         w.u16(admin.port);
+       }},
+      {MessageType::kWalFetchRequest,
+       [&](Writer& w) { net::encode_wal_fetch_request(w, fetch); },
+       net::encode_wal_fetch_request(fetch),
+       [&](Writer& w) {
+         w.u64(fetch.epoch);
+         w.u64(fetch.offset);
+         w.u32(fetch.max_bytes);
+       }},
+  };
+  std::size_t request_types = 0;
+  for (const Case& k : cases) {
+    SCOPED_TRACE(net::message_type_name(k.type));
+    ASSERT_TRUE(net::is_request(k.type));
+    ++request_types;
+    Writer specified;
+    k.specified(specified);
+    EXPECT_EQ(k.payload, specified.bytes());
+    EXPECT_EQ(k.payload.capacity(), k.payload.size());
+    std::vector<std::uint8_t> expected =
+        specified_header(k.type, 0x1122334455667788ULL, 42, 1500,
+                         specified.bytes().size());
+    expected.insert(expected.end(), specified.bytes().begin(),
+                    specified.bytes().end());
+    const std::vector<std::uint8_t> frame = net::encode_frame(
+        k.type, 0x1122334455667788ULL, 42, 1500, k.body);
+    EXPECT_EQ(frame, expected);
+    EXPECT_EQ(frame.capacity(), frame.size());
+    EXPECT_EQ(net::encode_frame(k.type, 0x1122334455667788ULL, 42, 1500,
+                                k.payload),
+              expected);
+  }
+  // One case per request type the protocol defines.
+  EXPECT_EQ(request_types, 9u);
+}
+
+TEST(Wire, SingleBufferVerifyAndEnrollRoundTripAtN64) {
+  const CrossbarLayout layout(64, 8);
+  util::Rng rng(7);
+  const Challenge c = random_challenge(layout, rng);
+  protocol::ProverReport report = sample_report();
+  report.edge_flow_a = paper_scale_flows(5);
+  report.edge_flow_b = paper_scale_flows(6);
+  const std::vector<std::uint8_t> frame = net::encode_frame(
+      MessageType::kVerifyRequest, 9, 17, 8,
+      [&](Writer& w) { net::encode_verify_request(w, c, report); });
+  Frame f;
+  std::size_t consumed = 0;
+  ASSERT_EQ(net::decode_frame(frame.data(), frame.size(), &f, &consumed),
+            DecodeResult::kOk);
+  EXPECT_EQ(consumed, frame.size());
+  EXPECT_EQ(f.type, MessageType::kVerifyRequest);
+  EXPECT_EQ(f.request_id, 9u);
+  EXPECT_EQ(f.device_id, 17u);
+  EXPECT_EQ(f.budget_ms, 8u);
+  Challenge c2;
+  protocol::ProverReport r2;
+  ASSERT_TRUE(net::decode_verify_request(f.payload, &c2, &r2).is_ok());
+  EXPECT_EQ(c2, c);
+  EXPECT_EQ(r2.bit, report.bit);
+  EXPECT_EQ(r2.edge_flow_a.size(), 4032u);
+  EXPECT_EQ(std::memcmp(r2.edge_flow_a.data(), report.edge_flow_a.data(),
+                        4032 * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(r2.edge_flow_b.data(), report.edge_flow_b.data(),
+                        4032 * sizeof(double)),
+            0);
+
+  net::EnrollRequestBody enroll;
+  enroll.node_count = 64;
+  enroll.grid_size = 8;
+  enroll.fabrication_seed = 2026;
+  enroll.label = "n64";
+  const std::vector<std::uint8_t> eframe = net::encode_frame(
+      MessageType::kEnrollRequest, 10, 5, 0,
+      [&](Writer& w) { net::encode_enroll_request(w, enroll); });
+  ASSERT_EQ(net::decode_frame(eframe.data(), eframe.size(), &f, &consumed),
+            DecodeResult::kOk);
+  net::EnrollRequestBody e2;
+  ASSERT_TRUE(net::decode_enroll_request(f.payload, &e2).is_ok());
+  EXPECT_EQ(e2.node_count, 64u);
+  EXPECT_EQ(e2.grid_size, 8u);
+  EXPECT_EQ(e2.fabrication_seed, 2026u);
+  EXPECT_EQ(e2.label, "n64");
+  EXPECT_EQ(e2.backend, 1);
+}
+
+TEST(Wire, SingleBufferOversizedBodyBecomesTypedErrorFrame) {
+  const std::vector<std::uint8_t> huge(net::kMaxPayload + 1, 0xcd);
+  const std::vector<std::uint8_t> bytes = net::encode_frame(
+      MessageType::kVerifyRequest, 43, 0, 0,
+      [&](Writer& w) { w.raw(huge.data(), huge.size()); });
+  Frame f;
+  std::size_t consumed = 0;
+  ASSERT_EQ(net::decode_frame(bytes.data(), bytes.size(), &f, &consumed),
+            DecodeResult::kOk);
+  EXPECT_EQ(f.type, MessageType::kErrorReply);
+  EXPECT_EQ(f.request_id, 43u);
 }
 
 }  // namespace
